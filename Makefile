@@ -6,21 +6,21 @@
 
 GO ?= go
 
-.PHONY: check vet lint build test race bench bench-smoke bench-fleet bench-dp chaos chaos-cluster
+.PHONY: check vet lint build test race bench bench-smoke bench-fleet bench-dp chaos chaos-cluster perfbench
 
-check: vet lint build race bench-smoke bench-fleet bench-dp chaos chaos-cluster
+check: vet lint build race bench-smoke bench-fleet bench-dp chaos chaos-cluster perfbench
 
 vet:
 	$(GO) vet ./...
 
 # Custom static-analysis suite (internal/lint via cmd/evlint), twelve
-# analyzers: context plumbing on the request path, unit-suffix hygiene,
-# float equality, atomicity of shared counters, the flow-aware
-# determinism/concurrency layer (detcheck, lockheld, goleak, errflow —
-# DESIGN.md §14), and the interprocedural layer on call-graph summaries
-# (puritycert, lockorder, ctxprop, hotalloc — DESIGN.md §15;
+# analyzers in two layers: syntactic rules (ctxcheck, unitcheck, floateq,
+# atomiccounter, goleak, errflow) and views over the call-graph summaries,
+# the one fact model for function bodies (detcheck, lockheld — DESIGN.md
+# §14; puritycert, lockorder, ctxprop, hotalloc — DESIGN.md §15;
 # `evlint -summaries` dumps the summary table). Exits non-zero on any
-# unwaived finding; //lint:allow waivers are summarized on stderr.
+# unwaived finding or stale //lint:allow waiver; live waivers are
+# summarized on stderr.
 # -max-wall keeps the suite honest about its own latency budget
 # (exit 3 on breach).
 lint:
@@ -28,6 +28,13 @@ lint:
 
 build:
 	$(GO) build ./...
+
+# The serving benchmark (perfbench/, BENCHMARK.json) is a nested module
+# that imports the serving API; the root ./... patterns skip it, so a
+# change that breaks the benchmark's build or tests is caught here.
+perfbench:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 test:
 	$(GO) test ./...

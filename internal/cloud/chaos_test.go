@@ -691,6 +691,52 @@ func TestChaosSlowExactDegradesToCoarseGrid(t *testing.T) {
 	}
 }
 
+// TestChaosCoarseLadderSkipsGreen pins today's ladder with the coarse
+// rung on (cloudd's default factor 3) and every solve stalled: the coarse
+// re-solve runs on the whole remaining request deadline, so when it
+// overruns the request context is already done and the green-fallback
+// rung never runs. The answer is the stale cache when a plan for the
+// route is cached, else a retryable 503.
+func TestChaosCoarseLadderSkipsGreen(t *testing.T) {
+	f, _, ts := newChaosServer(t, func(c *ServerConfig) { c.CoarseLadderFactor = 3 })
+	c, err := NewClient(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	f.delayAll.Store(true)
+	resp, err := http.Post(ts.URL+"/v1/optimize", "application/json", strings.NewReader(`{"route":"us25"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("nothing cached: status %d Retry-After %q, want a retryable 503",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+
+	f.delayAll.Store(false)
+	if _, err := c.Optimize(context.Background(), Request{Route: "us25", DepartTime: 0}); err != nil {
+		t.Fatal(err)
+	}
+	f.delayAll.Store(true)
+	stale, err := c.Optimize(context.Background(), Request{Route: "us25", DepartTime: 600})
+	if err != nil {
+		t.Fatalf("cached plan exists: want stale-cache, got %v", err)
+	}
+	if stale.DegradedReason != DegradedStaleCache {
+		t.Fatalf("reason %q, want %q", stale.DegradedReason, DegradedStaleCache)
+	}
+
+	st := statsOf(t, ts.URL)
+	if n := st.DegradedByReason[DegradedGreenFallback]; n != 0 {
+		t.Fatalf("green-fallback counted %d times; the coarse rung leaves it no budget", n)
+	}
+	if st.DegradedByReason[DegradedStaleCache] != 1 {
+		t.Fatalf("stale-cache not counted once: %+v", st.DegradedByReason)
+	}
+}
+
 // TestDegradeCoarseGridConfigValidation: factor 1 (exact re-run disguised
 // as a fallback) and negatives are config errors, not silent no-ops.
 func TestDegradeCoarseGridConfigValidation(t *testing.T) {

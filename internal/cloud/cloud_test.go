@@ -45,6 +45,11 @@ func TestNewServerValidation(t *testing.T) {
 	if _, err := NewServer(ServerConfig{CacheDepartBucketSec: -1}); err == nil {
 		t.Fatal("negative bucket accepted")
 	}
+	coarse := coarseDP()
+	coarse.CoarseRefine = dp.CoarseRefine{Factor: 2}
+	if _, err := NewServer(ServerConfig{DPTemplate: coarse, SegmentTables: true}); err == nil {
+		t.Fatal("segment tables accepted with a CoarseRefine template")
+	}
 }
 
 func TestNewClientValidation(t *testing.T) {

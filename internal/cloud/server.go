@@ -213,7 +213,8 @@ type ServerConfig struct {
 	// route is decomposed at its signals and solved once into per-segment
 	// value tables; requests are then stitched from the shared tables
 	// instead of running a full-route DP each. Off by default — the
-	// monolithic path stays the reference.
+	// monolithic path stays the reference. The tables are exact-only, so a
+	// DPTemplate with CoarseRefine set cannot enable them.
 	SegmentTables bool
 	// MaxBatchSize bounds the number of requests accepted by
 	// POST /v1/optimize/batch (default 256).
@@ -386,6 +387,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		// Factor 1 would re-run the exact solve as its own "fallback" and
 		// negatives are meaningless; both hide a misconfiguration.
 		return nil, fmt.Errorf("cloud: coarse ladder factor %d must be 0 (off) or ≥ 2", cfg.CoarseLadderFactor)
+	}
+	if cfg.SegmentTables && cfg.DPTemplate.CoarseRefine != (dp.CoarseRefine{}) {
+		return nil, fmt.Errorf("cloud: segment tables are exact-only; drop DPTemplate.CoarseRefine or SegmentTables")
 	}
 	if cfg.MaxInFlight == 0 {
 		cfg.MaxInFlight = 2 * runtime.GOMAXPROCS(0)
@@ -868,11 +872,16 @@ func (s *Server) cacheKey(req Request) string {
 //	        exact solve exceeds its share of the deadline and
 //	        CoarseLadderFactor is configured (degraded: coarse-grid)
 //	rung 2  green-window variant when the queue-aware solve exceeds its
-//	        share of the deadline (degraded: green-fallback)
+//	        share of the deadline and the request context is still live
+//	        (degraded: green-fallback)
 //	rung 3  a stale cache entry for the same route (degraded: stale-cache)
 //
 // The coarse rung keeps the paper's queue-aware windows — it only brackets
-// the velocity grid (DESIGN.md §12) — so it is tried first. Following
+// the velocity grid (DESIGN.md §12) — so it is tried first. It runs on the
+// whole remaining request context, so when it overruns the context is
+// done and rung 2 is skipped: with CoarseLadderFactor ≥ 2 (cloudd's
+// default) the green rung never runs, and a stalled solve ends at the
+// stale cache or a 503. Following
 // Ozatay et al. (PAPERS.md), the lower rungs are the baselines the paper
 // compares against: still-valid velocity profiles, just without the
 // queue-aware (or any) signal timing — strictly better than an error for a
@@ -1000,9 +1009,7 @@ func (s *Server) arrivalRate(req Request, degraded *bool) func(road.Control) flo
 // fault-injection seam and the predictor fallback. With coarse set it runs
 // the coarse-grid ladder rung: the template's CoarseRefine is overridden
 // with CoarseLadderFactor and the solve bypasses the segment-table path —
-// the shared tables are keyed to the exact grid, and building coarse
-// tables under a route's name would displace the exact ones for every
-// later request.
+// the tables are exact-only (dp.BuildRouteTables rejects coarse configs).
 func (s *Server) runVariant(ctx context.Context, route *road.Route, req Request, variant Variant, coarse bool) (*Response, error) {
 	if f := s.cfg.Faults.OptimizeDelay; f != nil {
 		if !sleepCtx(f(variant), ctx.Done()) {
@@ -1202,9 +1209,6 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	if req.StepSec == 0 {
 		req.StepSec = 10
 	}
-	if req.Variant == "" {
-		req.Variant = VariantQueueAware
-	}
 	// Candidate count by index, not by float span: a window spanning exactly
 	// k steps holds k+1 candidates, and the limit bounds the candidates.
 	count := 0
@@ -1221,19 +1225,18 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	case count > maxAdviseCandidates:
 		s.fail(w, http.StatusBadRequest, fmt.Sprintf("window spans more than %d candidates; widen stepSec", maxAdviseCandidates))
 		return
-	case req.ArrivalRateVehPerHour < 0:
-		s.fail(w, http.StatusBadRequest, "arrivalRateVehPerHour must be non-negative")
+	}
+	// Every candidate shares route, variant and rate: validate them once,
+	// as the optimize endpoints do, on a template request.
+	tmpl := Request{
+		Route: req.Route, DepartTime: req.EarliestDepart, Variant: req.Variant,
+		ArrivalRateVehPerHour: req.ArrivalRateVehPerHour,
+	}
+	if code, msg := normalizeOptimize(&tmpl); code != 0 {
+		s.fail(w, code, msg)
 		return
 	}
-	switch req.Variant {
-	case VariantQueueAware, VariantGreen, VariantUnconstrained:
-	default:
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("unknown variant %q", req.Variant))
-		return
-	}
-	s.mu.Lock()
-	route, ok := s.routes[req.Route]
-	s.mu.Unlock()
+	route, ok := s.lookupRoute(req.Route)
 	if !ok {
 		s.fail(w, http.StatusNotFound, fmt.Sprintf("unknown route %q", req.Route))
 		return
@@ -1247,10 +1250,9 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		// on-grid over long windows where `depart += step` drifts (the same
 		// float-accumulation class dp.SweepDepartures was cured of).
 		depart := req.EarliestDepart + float64(i)*req.StepSec
-		one, err := s.optimizeCached(ctx, route, Request{
-			Route: req.Route, DepartTime: depart, Variant: req.Variant,
-			ArrivalRateVehPerHour: req.ArrivalRateVehPerHour,
-		})
+		cand := tmpl
+		cand.DepartTime = depart
+		one, err := s.optimizeCached(ctx, route, cand)
 		if err != nil {
 			if isCtxErr(err) {
 				s.failRetryable(w, fmt.Sprintf("advise sweep ran out of time at depart %.0f s: %v", depart, err))

@@ -73,10 +73,6 @@ type RouteTables struct {
 	// entries[s] lists the entry tables of segment s in ascending entryJ.
 	entries       [][]entryTable
 	segmentSolves int
-	// refineMS is the resolved corridor half-width when the tables were
-	// built with CoarseRefine (0 for exact builds); stitched results then
-	// carry the Refined diagnostic.
-	refineMS float64
 }
 
 // gridKey is the comparable identity of everything baked into the tables:
@@ -96,11 +92,6 @@ type gridKey struct {
 	decelMaxMS2        float64
 	timeWeightAhPerSec float64
 	stopDwellSec       float64
-	// Coarse-refined tables hold approximate crossings (DESIGN.md §12), so
-	// they must not serve stitch configs expecting exact ones — and vice
-	// versa.
-	coarseFactor     int
-	coarseCorridorMS float64
 }
 
 func gridKeyOf(cfg *Config) gridKey {
@@ -111,9 +102,18 @@ func gridKeyOf(cfg *Config) gridKey {
 		accelMaxMS2: cfg.AccelMaxMS2, decelMaxMS2: cfg.DecelMaxMS2,
 		timeWeightAhPerSec: cfg.TimeWeightAhPerSec,
 		stopDwellSec:       cfg.StopDwellSec,
-		coarseFactor:       cfg.CoarseRefine.Factor,
-		coarseCorridorMS:   cfg.CoarseRefine.CorridorMS,
 	}
+}
+
+// exactOnly rejects coarse-to-fine configs: segment tables hold exact
+// crossings only, so they never serve a CoarseRefine config (DESIGN.md
+// §12) — such configs solve through OptimizeCtx.
+func exactOnly(cfg *Config) error {
+	if cfg.CoarseRefine.Factor >= 2 {
+		return fmt.Errorf("dp: segment tables are exact-only; a CoarseRefine factor %d config must solve through OptimizeCtx",
+			cfg.CoarseRefine.Factor)
+	}
+	return nil
 }
 
 // Segments returns the segment layout (copy; callers may modify freely).
@@ -143,14 +143,8 @@ func (rt *RouteTables) Crossings() int {
 // each segment once per admissible entry velocity. cfg.Windows and
 // cfg.DepartTime are ignored: windows bind at stitch time only. The
 // context is observed at every segment-stage boundary, exactly like
-// OptimizeCtx.
-//
-// With cfg.CoarseRefine enabled the per-entry solves take the
-// coarse-to-fine fast path (refine.go): each segment is first crossed on
-// the coarsened velocity grid, and the fine solve is restricted to the
-// corridor around every coarse crossing's path. The resulting tables hold
-// approximate crossings under the same error contract as OptimizeCtx
-// (DESIGN.md §12); gridKey keeps them apart from exact tables.
+// OptimizeCtx. A config with cfg.CoarseRefine enabled is an error: the
+// tables are exact-only.
 //
 //lint:certify pure
 func BuildRouteTables(ctx context.Context, cfg Config) (*RouteTables, error) {
@@ -159,6 +153,9 @@ func BuildRouteTables(ctx context.Context, cfg Config) (*RouteTables, error) {
 	}
 	cfg.applyDefaults()
 	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if err := exactOnly(&cfg); err != nil {
 		return nil, err
 	}
 	g, err := buildGrid(&cfg)
@@ -190,11 +187,7 @@ func BuildRouteTables(ctx context.Context, cfg Config) (*RouteTables, error) {
 	bands := newAccelBands(&cfg, g.ds, g.jMax)
 	trans := newTransitionCache(&cfg, g.ds, g.jMax, bands)
 	d := newSegDP(cfg.Workers, g.jMax+1, g.kMax+1, maxM)
-	coarse := buildSegCoarse(&cfg, maxM)
 	rt := &RouteTables{cfg: cfg, key: gridKeyOf(&cfg), stages: stages, grid: g}
-	if coarse != nil {
-		rt.refineMS = coarse.margin
-	}
 	for si := 0; si < len(bounds)-1; si++ {
 		a, b := bounds[si], bounds[si+1]
 		spec := SegmentSpec{
@@ -206,29 +199,12 @@ func BuildRouteTables(ctx context.Context, cfg Config) (*RouteTables, error) {
 		}
 		var ets []entryTable
 		for j0 := stages[a].minJ; j0 <= stages[a].maxJ; j0++ {
-			var loJ, hiJ []int
-			if coarse != nil {
-				if loJ, hiJ, err = coarse.corridor(ctx, cfg.DvMS, g.jMax, a, b, j0); err != nil {
-					return nil, err
-				}
-			}
-			if err := d.solve(ctx, &cfg, g, stages, bands, trans, a, b, j0, loJ, hiJ); err != nil {
+			if err := d.solve(ctx, &cfg, g, stages, bands, trans, a, b, j0); err != nil {
 				return nil, err
 			}
 			et, err := d.crossings(stages, a, b, j0)
 			if err != nil {
 				return nil, err
-			}
-			if len(et.crossings) == 0 && loJ != nil {
-				// The corridor cut off every crossing (coarse/fine
-				// reachability mismatch near a band edge): fall back to the
-				// unrestricted fine solve so feasibility is never lost.
-				if err := d.solve(ctx, &cfg, g, stages, bands, trans, a, b, j0, nil, nil); err != nil {
-					return nil, err
-				}
-				if et, err = d.crossings(stages, a, b, j0); err != nil {
-					return nil, err
-				}
 			}
 			rt.segmentSolves++
 			ets = append(ets, *et)
@@ -264,14 +240,11 @@ func newSegDP(workers, jw, kw, maxM int) *segDP {
 }
 
 // solve runs the window-free DP over stages [a, b] seeded at entry velocity
-// index j0 with segment-relative time 0. loJ/hiJ, when non-nil, restrict
-// each *interior* stage's band (local indexes 1..m-1): the entry stage is
-// always narrowed to j0 and the exit stage keeps its full band so every
-// exit velocity stays representable in the crossing table. After solve
-// returns, curCost/curExact hold the exit stage and backs[(i-1)*width:]
-// stage i's incoming pointers.
+// index j0 with segment-relative time 0. After solve returns,
+// curCost/curExact hold the exit stage and backs[(i-1)*width:] stage i's
+// incoming pointers.
 func (d *segDP) solve(ctx context.Context, cfg *Config, g dpGrid, stages []stageInfo,
-	bands *accelBands, trans *transitionCache, a, b, j0 int, loJ, hiJ []int) error {
+	bands *accelBands, trans *transitionCache, a, b, j0 int) error {
 
 	m := b - a
 	fillF64(d.curCost, inf)
@@ -279,31 +252,18 @@ func (d *segDP) solve(ctx context.Context, cfg *Config, g dpGrid, stages []stage
 	d.curExact[j0*d.kw] = 0 // the one exact cell read without a commit having written it
 	d.pool.seed(j0, 0, d.kw)
 
-	band := func(i int) (int, int) {
-		st := stages[a+i]
-		lo, hi := st.minJ, st.maxJ
-		if loJ != nil && i > 0 && i < m {
-			// Empty intersections keep the stage's own band, exactly like
-			// corridor.apply: conservative, never infeasible-by-clamping.
-			if l, h := max(lo, loJ[i]), min(hi, hiJ[i]); l <= h {
-				lo, hi = l, h
-			}
-		}
-		return lo, hi
-	}
-
 	for i := 0; i < m; i++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		cur := stages[a+i]
-		curLo, curHi := band(i)
+		curLo, curHi := cur.minJ, cur.maxJ
 		if i == 0 {
 			// Only the seeded entry column is populated; narrowing the scan
 			// band skips the guaranteed-inf columns.
 			curLo, curHi = j0, j0
 		}
-		nxtLo, nxtHi := band(i + 1)
+		nxtLo, nxtHi := stages[a+i+1].minJ, stages[a+i+1].maxJ
 		// Banded seeding, matching optimizeCore: no read ever leaves the
 		// destination band, so stale cells outside it are unreachable.
 		bLo, bHi := nxtLo*d.kw, (nxtHi+1)*d.kw
@@ -364,110 +324,6 @@ func (d *segDP) crossings(stages []stageInfo, a, b, j0 int) (*entryTable, error)
 	return et, nil
 }
 
-// pathSpan walks every finite exit state's backpath from the last solve
-// and reports the per-stage velocity-index span they cover (local stage
-// indexes 0..m). ok is false when the segment has no finite exit at all.
-func (d *segDP) pathSpan(stages []stageInfo, a, b, jMax int) (loJ, hiJ []int, ok bool) {
-	m := b - a
-	kw := d.kw
-	loJ, hiJ = make([]int, m+1), make([]int, m+1)
-	for i := range loJ {
-		loJ[i], hiJ[i] = jMax+1, -1
-	}
-	for j1 := stages[b].minJ; j1 <= stages[b].maxJ; j1++ {
-		for k := 0; k < kw; k++ {
-			if d.curCost[j1*kw+k] >= inf {
-				continue
-			}
-			ok = true
-			jj, kk := j1, k
-			for i := m; ; i-- {
-				if jj < loJ[i] {
-					loJ[i] = jj
-				}
-				if jj > hiJ[i] {
-					hiJ[i] = jj
-				}
-				if i == 0 {
-					break
-				}
-				bp := d.backs[(i-1)*d.width+jj*kw+kk]
-				if bp < 0 {
-					break
-				}
-				jj, kk = int(bp>>16), int(bp&0xffff)
-			}
-		}
-	}
-	return loJ, hiJ, ok
-}
-
-// segCoarse is the coarsened-grid solver state a coarse-refined build
-// shares across its segments (refine.go documents the fast path).
-type segCoarse struct {
-	cfg    Config // coarse config: DvMS scaled by the factor
-	g      dpGrid
-	stages []stageInfo
-	bands  *accelBands
-	trans  *transitionCache
-	d      *segDP
-	margin float64 // resolved corridor half-width in m/s
-}
-
-// buildSegCoarse prepares the coarse solver, or returns nil when the fast
-// path is off or the coarsened grid is degenerate (Δv' above the route's
-// max speed) — the build then simply produces exact tables.
-func buildSegCoarse(cfg *Config, maxM int) *segCoarse {
-	if cfg.CoarseRefine.Factor < 2 {
-		return nil
-	}
-	ccfg := *cfg
-	ccfg.CoarseRefine = CoarseRefine{}
-	ccfg.DvMS = cfg.DvMS * float64(cfg.CoarseRefine.Factor)
-	cg, err := buildGrid(&ccfg)
-	if err != nil {
-		return nil
-	}
-	cstages, err := buildStages(ccfg, cg.n, cg.ds, cg.jMax)
-	if err != nil {
-		return nil // unreachable when the fine build succeeded (same Δs)
-	}
-	cbands := newAccelBands(&ccfg, cg.ds, cg.jMax)
-	return &segCoarse{
-		cfg: ccfg, g: cg, stages: cstages,
-		bands:  cbands,
-		trans:  newTransitionCache(&ccfg, cg.ds, cg.jMax, cbands),
-		d:      newSegDP(ccfg.Workers, cg.jMax+1, cg.kMax+1, maxM),
-		margin: cfg.CoarseRefine.marginMS(cfg.DvMS),
-	}
-}
-
-// corridor crosses the segment on the coarse grid from the coarse column
-// nearest entry j0·Δv and converts the span of every optimal backpath to
-// fine-grid bands widened by the corridor margin. nil bands mean "solve
-// unrestricted" (no coarse crossing exists).
-func (sc *segCoarse) corridor(ctx context.Context, fineDv float64, jMaxFine, a, b, j0 int) (loJ, hiJ []int, err error) {
-	j0c := int(math.Round(float64(j0) * fineDv / sc.cfg.DvMS))
-	if j0c > sc.g.jMax {
-		j0c = sc.g.jMax
-	}
-	if err := sc.d.solve(ctx, &sc.cfg, sc.g, sc.stages, sc.bands, sc.trans, a, b, j0c, nil, nil); err != nil {
-		return nil, nil, err
-	}
-	cLo, cHi, ok := sc.d.pathSpan(sc.stages, a, b, sc.g.jMax)
-	if !ok {
-		return nil, nil, nil
-	}
-	loJ, hiJ = make([]int, len(cLo)), make([]int, len(cLo))
-	for i := range cLo {
-		loJ[i], hiJ[i] = fineBand(
-			float64(cLo[i])*sc.cfg.DvMS-sc.margin,
-			float64(cHi[i])*sc.cfg.DvMS+sc.margin,
-			fineDv, jMaxFine)
-	}
-	return loJ, hiJ, nil
-}
-
 // stitchBack records how a boundary state was reached: the predecessor
 // boundary state and the crossing that bridged them.
 type stitchBack struct {
@@ -498,6 +354,9 @@ func (rt *RouteTables) StitchCtx(ctx context.Context, cfg Config) (*Result, erro
 	}
 	cfg.applyDefaults()
 	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if err := exactOnly(&cfg); err != nil {
 		return nil, err
 	}
 	if gridKeyOf(&cfg) != rt.key {
@@ -594,14 +453,5 @@ func (rt *RouteTables) StitchCtx(ctx context.Context, cfg Config) (*Result, erro
 		}
 		jj, kk = int(sb.prevJ), int(sb.prevK)
 	}
-	res, err := assemble(cfg, rt.stages, js, rt.grid.ds, windows, bestCost, expanded)
-	if err != nil {
-		return nil, err
-	}
-	if f := rt.cfg.CoarseRefine.Factor; f >= 2 {
-		// The crossings themselves are the approximate artifact; every
-		// stitch over them inherits the coarse-to-fine error contract.
-		res.Refined = &RefineDiag{Factor: f, CorridorMS: rt.refineMS}
-	}
-	return res, nil
+	return assemble(cfg, rt.stages, js, rt.grid.ds, windows, bestCost, expanded)
 }

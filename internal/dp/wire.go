@@ -32,9 +32,6 @@ type TablesWire struct {
 	// SegmentSolves is the build cost the owner paid, carried along so an
 	// importing node's reuse accounting can report it.
 	SegmentSolves int
-	// RefineMS is the resolved coarse-refine corridor half-width (0 for
-	// exact builds).
-	RefineMS float64
 }
 
 // EntryWire mirrors entryTable.
@@ -58,7 +55,6 @@ func (rt *RouteTables) Export() *TablesWire {
 		Fingerprint:   fingerprintTables(&rt.cfg, rt.grid, rt.stages),
 		Specs:         rt.Segments(),
 		SegmentSolves: rt.segmentSolves,
-		RefineMS:      rt.refineMS,
 	}
 	w.Entries = make([][]EntryWire, len(rt.entries))
 	for s, ets := range rt.entries {
@@ -136,7 +132,7 @@ func ImportRouteTables(cfg Config, w *TablesWire) (*RouteTables, error) {
 			len(w.Specs), len(w.Entries), len(bounds)-1)
 	}
 	rt := &RouteTables{cfg: cfg, key: gridKeyOf(&cfg), stages: stages, grid: g,
-		segmentSolves: w.SegmentSolves, refineMS: w.RefineMS}
+		segmentSolves: w.SegmentSolves}
 	for s := range w.Specs {
 		a, b := bounds[s], bounds[s+1]
 		spec := w.Specs[s]
@@ -189,8 +185,7 @@ func fingerprintTables(cfg *Config, g dpGrid, stages []stageInfo) uint64 {
 	put("grid", g.n, math.Float64bits(g.ds), g.jMax, g.kMax)
 	put("cfg", math.Float64bits(cfg.DsM), math.Float64bits(cfg.DvMS), math.Float64bits(cfg.DtSec),
 		math.Float64bits(cfg.MaxTripSec), math.Float64bits(cfg.AccelMaxMS2), math.Float64bits(cfg.DecelMaxMS2),
-		math.Float64bits(cfg.TimeWeightAhPerSec), math.Float64bits(cfg.StopDwellSec),
-		cfg.CoarseRefine.Factor, math.Float64bits(cfg.CoarseRefine.CorridorMS))
+		math.Float64bits(cfg.TimeWeightAhPerSec), math.Float64bits(cfg.StopDwellSec))
 	put("vehicle", cfg.Vehicle)
 	for i, st := range stages {
 		put("stage", i, math.Float64bits(st.posM), st.minJ, st.maxJ, st.forceZero, math.Float64bits(st.dwellSec))

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"strings"
@@ -14,15 +15,21 @@ import (
 // A pragma without a reason is deliberately inert: waivers document WHY
 // or they do not waive. The underlying finding then stays active, so a
 // forgotten reason surfaces in CI instead of silently suppressing.
+//
+// A pragma that suppresses nothing is stale, and Run reports it as an
+// active finding: otherwise a rule that stops firing under a waiver
+// would vanish silently.
 type allowPragma struct {
+	pos      token.Pos
 	file     string
 	line     int
 	analyzer string
 	reason   string
+	used     bool
 }
 
 // allowSet indexes pragmas by file for cheap position matching.
-type allowSet map[string][]allowPragma
+type allowSet map[string][]*allowPragma
 
 const allowPrefix = "//lint:allow"
 
@@ -63,8 +70,8 @@ func collectAllows(fset *token.FileSet, files []*ast.File) allowSet {
 				}
 				pos := fset.Position(c.Pos())
 				for _, p := range pragmas {
-					p.file, p.line = pos.Filename, pos.Line
-					set[pos.Filename] = append(set[pos.Filename], p)
+					p.pos, p.file, p.line = c.Pos(), pos.Filename, pos.Line
+					set[pos.Filename] = append(set[pos.Filename], &p)
 				}
 			}
 		}
@@ -74,6 +81,7 @@ func collectAllows(fset *token.FileSet, files []*ast.File) allowSet {
 
 // match reports whether a pragma for analyzer covers pos: same line
 // (trailing comment) or the line immediately above (standalone comment).
+// The matching pragma is marked used.
 func (s allowSet) match(fset *token.FileSet, analyzer string, pos token.Pos) (string, bool) {
 	p := fset.Position(pos)
 	for _, a := range s[p.Filename] {
@@ -81,8 +89,32 @@ func (s allowSet) match(fset *token.FileSet, analyzer string, pos token.Pos) (st
 			continue
 		}
 		if a.line == p.Line || a.line == p.Line-1 {
+			a.used = true
 			return a.reason, true
 		}
 	}
 	return "", false
 }
+
+// stale returns a finding for every pragma that suppressed nothing and
+// names an analyzer in ran, and for every pragma naming no analyzer at
+// all. Pragmas of known analyzers that did not run are left alone.
+func (s allowSet) stale(ran map[string]bool) []Diagnostic {
+	var out []Diagnostic
+	for _, pragmas := range s { // Run sorts the findings by position
+		for _, a := range pragmas {
+			switch {
+			case ran[a.analyzer] && !a.used:
+				out = append(out, Diagnostic{Analyzer: staleAllowName, Pos: a.pos, Message: fmt.Sprintf(
+					"stale waiver: //lint:allow %s suppressed no finding; delete it", a.analyzer)})
+			case !ran[a.analyzer] && ByName(a.analyzer) == nil:
+				out = append(out, Diagnostic{Analyzer: staleAllowName, Pos: a.pos, Message: fmt.Sprintf(
+					"//lint:allow %s names no analyzer; see evlint -list", a.analyzer)})
+			}
+		}
+	}
+	return out
+}
+
+// staleAllowName is the Diagnostic.Analyzer of stale-waiver findings.
+const staleAllowName = "lint:allow"

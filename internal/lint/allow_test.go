@@ -9,6 +9,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -109,5 +112,76 @@ func a() {}
 	fset, allows, at := parseSrc(t, src)
 	if _, ok := allows.match(fset, "floateq", at(4)); ok {
 		t.Fatal("prose mention of the pragma syntax must stay inert")
+	}
+}
+
+// staleSrc holds one live pragma, one stale pragma and one pragma that
+// names no analyzer.
+const staleSrc = `package dp
+
+func eq(a, b float64) bool {
+	//lint:allow floateq exact comparison is the point of this fixture
+	return a == b
+}
+
+func clean(a, b int) bool {
+	//lint:allow floateq nothing here compares floats
+	return a == b
+}
+
+//lint:allow nosuch a pragma naming no analyzer
+var x = 1
+`
+
+// runStale writes staleSrc as a fixture package and runs analyzers over it.
+func runStale(t *testing.T, analyzers ...*Analyzer) *Result {
+	t.Helper()
+	root := t.TempDir()
+	dir := filepath.Join(root, "staleallow", "internal", "dp")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "dp.go"), []byte(staleSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := LoadFixture(root, "staleallow/internal/dp")
+	if err != nil {
+		t.Fatalf("loading fixture: %v", err)
+	}
+	res, err := Run(analyzers, []*Package{pkg})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return res
+}
+
+func activeLines(res *Result) map[int]string {
+	out := make(map[int]string)
+	for _, d := range res.Active {
+		out[res.Fset.Position(d.Pos).Line] = d.Analyzer + ": " + d.Message
+	}
+	return out
+}
+
+// TestAllowStale: a pragma that suppressed nothing is an active
+// finding, and so is one naming no analyzer; the live pragma waives.
+func TestAllowStale(t *testing.T) {
+	res := runStale(t, FloatEq)
+	if len(res.Allowed) != 1 || res.Fset.Position(res.Allowed[0].Pos).Line != 5 {
+		t.Fatalf("want the live pragma to waive line 5, got %v", res.Allowed)
+	}
+	got := activeLines(res)
+	if len(got) != 2 || !strings.Contains(got[9], "stale waiver: //lint:allow floateq") ||
+		!strings.Contains(got[13], "//lint:allow nosuch names no analyzer") {
+		t.Fatalf("active findings = %v, want the stale pragma (line 9) and the unknown one (line 13)", got)
+	}
+}
+
+// TestAllowStaleOtherAnalyzers: under a subset run, pragmas of the
+// analyzers that did not run are left alone; unknown names are not.
+func TestAllowStaleOtherAnalyzers(t *testing.T) {
+	got := activeLines(runStale(t, UnitCheck))
+	if len(got) != 1 || !strings.Contains(got[13], "names no analyzer") {
+		t.Fatalf("active findings = %v, want only the unknown pragma (line 13)", got)
 	}
 }

@@ -19,9 +19,10 @@
 //     statements must be mutated through sync/atomic, the metrics API, a
 //     mutex, or index-addressed slots — never bare captured scalars.
 //
-// Four flow-aware analyzers guard the determinism and concurrency
-// contract directly (DESIGN.md §14), built on the intra-procedural
-// statement-graph walker in flow.go:
+// Four more guard the determinism and concurrency contract directly
+// (DESIGN.md §14); detcheck and lockheld report the body facts recorded
+// by the call-graph summaries (summary.go, whose lock walk runs on the
+// statement-graph walker in flow.go), the one fact model of the suite:
 //
 //   - detcheck: no order-dependent accumulation or serialization inside
 //     map ranges (use stable.SortedKeys), no clock-seeded or global
@@ -40,7 +41,8 @@
 //	//lint:allow <analyzer> <reason>
 //
 // Suppressions are not silent: the runner returns them and cmd/evlint
-// prints a summary so every waiver stays visible in CI logs.
+// prints a summary so every waiver stays visible in CI logs. A waiver
+// that suppresses nothing is reported as an active finding.
 package lint
 
 import (
@@ -96,6 +98,18 @@ type Pass struct {
 	report func(Diagnostic)
 }
 
+// funcs returns the Program's function nodes declared in the pass's
+// package, in position order.
+func (p *Pass) funcs() []*fnode {
+	var out []*fnode
+	for _, n := range p.Prog.order {
+		if n.pkg.PkgPath == p.PkgPath {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Analyzer: p.Analyzer.Name, Pos: pos, Message: fmt.Sprintf(format, args...)})
@@ -123,6 +137,8 @@ type Result struct {
 
 // Run applies every analyzer to every package, applies //lint:allow
 // pragmas, and returns the partitioned findings sorted by position.
+// Stale pragmas — naming an analyzer that ran but suppressing nothing,
+// or naming no analyzer at all — are active findings.
 func Run(analyzers []*Analyzer, pkgs []*Package) (*Result, error) {
 	if len(pkgs) == 0 {
 		return nil, fmt.Errorf("lint: no packages to analyze")
@@ -134,6 +150,10 @@ func Run(analyzers []*Analyzer, pkgs []*Package) (*Result, error) {
 	// tests pin this single-build contract.
 	prog := BuildProgram(pkgs)
 	programBuilds++
+	ran := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		ran[a.Name] = true
+	}
 	for _, pkg := range pkgs {
 		allows := collectAllows(pkg.Fset, pkg.Syntax)
 		for _, a := range analyzers {
@@ -160,6 +180,7 @@ func Run(analyzers []*Analyzer, pkgs []*Package) (*Result, error) {
 				}
 			}
 		}
+		res.Active = append(res.Active, allows.stale(ran)...)
 	}
 	sortDiags(res.Fset, res.Active)
 	sortDiags(res.Fset, res.Allowed)

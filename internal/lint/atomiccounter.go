@@ -63,7 +63,7 @@ func runAtomicCounter(pass *Pass) error {
 // isParForEach matches calls to the par package's ForEach (by final
 // import-path segment, so fixtures can provide their own par package).
 func isParForEach(pass *Pass, call *ast.CallExpr) bool {
-	pkgPath, funcName, ok := calledPackageFunc(pass, call)
+	pkgPath, funcName, ok := pkgFuncOf(pass.TypesInfo, call)
 	return ok && lastSegment(pkgPath) == "par" && funcName == "ForEach"
 }
 
@@ -102,7 +102,7 @@ func checkWorkerWrite(pass *Pass, lit *ast.FuncLit, target ast.Expr, lockHeld bo
 	if idx, ok := target.(*ast.IndexExpr); ok {
 		// Index-addressed slice/array slots are par's contract; maps are
 		// not index-safe and fall through to the captured-write check.
-		if !isMapIndex(pass, idx) {
+		if !isMapExpr(pass.TypesInfo, idx.X) {
 			return
 		}
 		target = idx.X
@@ -152,15 +152,6 @@ func unparen(e ast.Expr) ast.Expr {
 		}
 		e = p.X
 	}
-}
-
-func isMapIndex(pass *Pass, idx *ast.IndexExpr) bool {
-	t := pass.TypesInfo.Types[idx.X].Type
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Map)
-	return ok
 }
 
 // rootIdent walks to the base identifier of an lvalue chain:

@@ -3,11 +3,11 @@ package lint
 // This file is the interprocedural half of the suite's analysis
 // infrastructure (DESIGN.md §15): a package-level call graph over the
 // already-type-checked ASTs of every package in one lint invocation.
-// The intra-procedural analyzers (detcheck, lockheld, ctxcheck, …) stop
-// at function boundaries; the graph built here, plus the bottom-up
-// per-function summaries in summary.go, lets puritycert, lockorder,
-// ctxprop and hotalloc reason about what a call REACHES, not just what a
-// body contains.
+// The syntactic analyzers (ctxcheck, unitcheck, …) stop at function
+// boundaries; the graph built here, plus the bottom-up per-function
+// summaries in summary.go, lets puritycert, lockorder, ctxprop and
+// hotalloc reason about what a call REACHES, not just what a body
+// contains.
 //
 // Resolution policy, in decreasing order of precision:
 //
@@ -124,12 +124,6 @@ func BuildProgram(pkgs []*Package) *Program {
 
 	summarize(prog)
 	return prog
-}
-
-// FuncNode returns the Program's node for fn, or nil when fn has no body
-// in the analyzed set.
-func (p *Program) funcNode(fn *types.Func) *fnode {
-	return p.funcs[fn]
 }
 
 // collectCalls walks n's body recording resolved call sites in source

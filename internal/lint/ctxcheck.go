@@ -33,60 +33,73 @@ func runCtxCheck(pass *Pass) error {
 	if !pathHasSegments(pass.PkgPath, "internal/cloud") && !pathHasSegments(pass.PkgPath, "cmd/cloudd") {
 		return nil
 	}
+	inspectRequestPaths(pass, func(n ast.Node, onRequestPath bool) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return
+		}
+		pkgPath, funcName, ok := pkgFuncOf(pass.TypesInfo, call)
+		if !ok {
+			return
+		}
+		if lastSegment(pkgPath) == "dp" && (funcName == "Optimize" || funcName == "SweepDepartures") {
+			pass.Reportf(call.Pos(),
+				"context-free dp.%s in cloud code: call dp.%sCtx so the request deadline cancels the solve",
+				funcName, funcName)
+		}
+		if pkgPath == "context" && (funcName == "Background" || funcName == "TODO") && onRequestPath {
+			pass.Reportf(call.Pos(),
+				"context.%s() minted inside a handler/middleware chain discards the request deadline; thread the request context instead",
+				funcName)
+		}
+	})
+	return nil
+}
+
+// inspectRequestPaths visits every node of the pass's non-test files,
+// reporting whether the node sits inside a request-path function
+// (isRequestPathSignature) or a literal nested in one — the walk
+// ctxcheck and goleak share. Function declarations and literals
+// themselves are not visited; their bodies are.
+func inspectRequestPaths(pass *Pass, visit func(n ast.Node, onRequestPath bool)) {
 	for _, f := range pass.Files {
 		if isTestFile(pass.Fset, f.Pos()) {
 			continue
 		}
-		// handlerDepth > 0 while the walk is inside a function (or a
-		// literal nested in one) that belongs to a request path.
-		var sigStack []bool
-		inHandlerChain := func() bool {
-			for _, h := range sigStack {
-				if h {
-					return true
+		depth := 0 // request-path functions enclosing the walk
+		var walk func(n ast.Node) bool
+		walk = func(n ast.Node) bool {
+			var sig *types.Signature
+			var body *ast.BlockStmt
+			switch n := n.(type) {
+			case nil:
+				return false
+			case *ast.FuncDecl:
+				if fn, ok := pass.TypesInfo.Defs[n.Name].(*types.Func); ok {
+					sig = fn.Type().(*types.Signature)
 				}
+				body = n.Body
+			case *ast.FuncLit:
+				sig, _ = pass.TypesInfo.Types[n].Type.(*types.Signature)
+				body = n.Body
+			default:
+				visit(n, depth > 0)
+				return true
+			}
+			onPath := sig != nil && isRequestPathSignature(sig)
+			if onPath {
+				depth++
+			}
+			if body != nil {
+				ast.Inspect(body, walk)
+			}
+			if onPath {
+				depth--
 			}
 			return false
 		}
-		var walk func(n ast.Node) bool
-		walk = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				sig, _ := pass.TypesInfo.Defs[n.Name].(*types.Func)
-				pushed := sig != nil && isRequestPathSignature(sig.Type().(*types.Signature))
-				sigStack = append(sigStack, pushed)
-				if n.Body != nil {
-					ast.Inspect(n.Body, walk)
-				}
-				sigStack = sigStack[:len(sigStack)-1]
-				return false
-			case *ast.FuncLit:
-				sig, _ := pass.TypesInfo.Types[n].Type.(*types.Signature)
-				sigStack = append(sigStack, sig != nil && isRequestPathSignature(sig))
-				ast.Inspect(n.Body, walk)
-				sigStack = sigStack[:len(sigStack)-1]
-				return false
-			case *ast.CallExpr:
-				pkgPath, funcName, ok := calledPackageFunc(pass, n)
-				if !ok {
-					return true
-				}
-				if lastSegment(pkgPath) == "dp" && (funcName == "Optimize" || funcName == "SweepDepartures") {
-					pass.Reportf(n.Pos(),
-						"context-free dp.%s in cloud code: call dp.%sCtx so the request deadline cancels the solve",
-						funcName, funcName)
-				}
-				if pkgPath == "context" && (funcName == "Background" || funcName == "TODO") && inHandlerChain() {
-					pass.Reportf(n.Pos(),
-						"context.%s() minted inside a handler/middleware chain discards the request deadline; thread the request context instead",
-						funcName)
-				}
-			}
-			return true
-		}
 		ast.Inspect(f, walk)
 	}
-	return nil
 }
 
 // isRequestPathSignature reports whether a function signature marks
@@ -108,22 +121,4 @@ func isRequestPathSignature(sig *types.Signature) bool {
 		}
 	}
 	return false
-}
-
-// calledPackageFunc resolves a call of the form pkg.Func and returns the
-// imported package's path and the function name.
-func calledPackageFunc(pass *Pass, call *ast.CallExpr) (pkgPath, funcName string, ok bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", "", false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return "", "", false
-	}
-	pn, ok := pass.TypesInfo.Uses[id].(*types.PkgName)
-	if !ok {
-		return "", "", false
-	}
-	return pn.Imported().Path(), sel.Sel.Name, true
 }

@@ -37,21 +37,11 @@ var CtxProp = &Analyzer{
 var ctxPropScopes = []string{"cloud", "cloudd"}
 
 func runCtxProp(pass *Pass) error {
-	if pass.Prog == nil {
+	if !anyPathSegment(pass.PkgPath, ctxPropScopes) {
 		return nil
 	}
-	inScope := false
-	for _, s := range ctxPropScopes {
-		if pathHasSegments(pass.PkgPath, s) {
-			inScope = true
-			break
-		}
-	}
-	if !inScope {
-		return nil
-	}
-	for _, n := range pass.Prog.order {
-		if n.pkg.PkgPath != pass.PkgPath || !n.sum.hasCtx {
+	for _, n := range pass.funcs() {
+		if !n.sum.hasCtx {
 			continue
 		}
 		reported := make(map[int]bool) // dedupe by call-site offset
@@ -60,18 +50,19 @@ func runCtxProp(pass *Pass) error {
 				continue
 			}
 			callee := cs.target.sum
-			if callee.unguarded == nil || callee.hasCtx {
+			unguarded := callee.facts[factUnguarded]
+			if unguarded == nil || callee.hasCtx {
 				continue
 			}
 			if reported[int(cs.pos)] {
 				continue
 			}
 			reported[int(cs.pos)] = true
-			chain := pass.Prog.chainString(cs.callee, callee.unguarded)
+			chain := pass.Prog.chainString(cs.callee, unguarded)
 			pass.Reportf(cs.pos,
 				"%s holds the request context but calls %s, a context-less chain that may block (%s via %s); thread ctx through %s so the deadline reaches the block",
 				funcDisplayName(n.fn), funcDisplayName(cs.callee),
-				callee.unguarded.what, chain, funcDisplayName(cs.callee))
+				unguarded.what, chain, funcDisplayName(cs.callee))
 		}
 	}
 	return nil

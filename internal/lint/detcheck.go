@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 )
 
 // DetCheck enforces the repo's determinism contract (DESIGN.md §6, §12,
@@ -23,8 +22,12 @@ import (
 //  3. Calls to math/rand's package-level functions draw from the global,
 //     effectively clock-seeded stream; thread a seeded *rand.Rand.
 //  4. The pure solver packages (dp, neural, queue) must not read the wall
-//     clock: time.Now() there makes a solve depend on when it ran.
-//     Timestamps enter as parameters.
+//     clock: time.Now/Since/Until there make a solve depend on when it
+//     ran. Timestamps enter as parameters.
+//
+// Rules 1, 3 and 4 are views over the direct sites the call-graph
+// summaries record (summary.go); only rule 2, which inspects package-level
+// initializers rather than function bodies, walks syntax here.
 var DetCheck = &Analyzer{
 	Name: "detcheck",
 	Doc: "map-order, rand-seed, and wall-clock nondeterminism must stay out of the numeric and serving packages\n\n" +
@@ -43,60 +46,45 @@ var detCheckScopes = []string{"dp", "neural", "cloud", "cluster", "metrics"}
 // their inputs: no wall-clock reads at all.
 var detPureSolvers = map[string]bool{"dp": true, "neural": true, "queue": true}
 
-// globalRandFns are math/rand package-level functions that draw from the
-// shared global source.
-var globalRandFns = map[string]bool{
-	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
-	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
-	"Float32": true, "Float64": true, "NormFloat64": true,
-	"ExpFloat64": true, "Perm": true, "Shuffle": true, "Read": true,
-}
-
 func runDetCheck(pass *Pass) error {
-	inScope := false
-	for _, s := range detCheckScopes {
-		if pathHasSegments(pass.PkgPath, s) {
-			inScope = true
-			break
-		}
-	}
+	inScope := anyPathSegment(pass.PkgPath, detCheckScopes)
 	pureSolver := detPureSolvers[lastSegment(pass.PkgPath)]
 	if !inScope && !pureSolver {
 		return nil
 	}
-	for _, f := range pass.Files {
-		if isTestFile(pass.Fset, f.Pos()) {
-			continue
-		}
-		for _, decl := range f.Decls {
-			if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.VAR && inScope {
-				checkTopLevelRand(pass, gd)
+	if inScope {
+		for _, f := range pass.Files {
+			if isTestFile(pass.Fset, f.Pos()) {
+				continue
+			}
+			for _, decl := range f.Decls {
+				if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+					checkTopLevelRand(pass, gd)
+				}
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.RangeStmt:
-				if inScope {
-					checkMapRange(pass, n)
-				}
-			case *ast.CallExpr:
-				pkgPath, funcName, ok := calledPackageFunc(pass, n)
-				if !ok {
-					return true
-				}
-				if inScope && pkgPath == "math/rand" && globalRandFns[funcName] {
-					pass.Reportf(n.Pos(),
-						"rand.%s draws from the global math/rand source (clock-seeded, process-wide): thread a seeded *rand.Rand instead",
-						funcName)
-				}
-				if pureSolver && pkgPath == "time" && funcName == "Now" {
-					pass.Reportf(n.Pos(),
-						"time.Now() in pure solver package %s makes the solve depend on when it ran; take the timestamp as a parameter",
-						lastSegment(pass.PkgPath))
-				}
+	}
+	// Rules 1, 3 and 4 read the direct sites the summaries recorded.
+	for _, n := range pass.funcs() {
+		if inScope {
+			for _, w := range n.sum.sites[effMapOrder] {
+				pass.Reportf(w.pos,
+					"%s: Go randomizes map iteration order, so the result varies run to run; iterate stable.SortedKeys (internal/stable) or sort the result where it is built",
+					w.what)
 			}
-			return true
-		})
+			for _, w := range n.sum.sites[effRand] {
+				pass.Reportf(w.pos,
+					"%s draws from the global math/rand source (clock-seeded, process-wide): thread a seeded *rand.Rand instead",
+					w.what)
+			}
+		}
+		if pureSolver {
+			for _, w := range n.sum.sites[effTime] {
+				pass.Reportf(w.pos,
+					"%s in pure solver package %s makes the solve depend on when it ran; take the timestamp as a parameter",
+					w.what, lastSegment(pass.PkgPath))
+			}
+		}
 	}
 	return nil
 }
@@ -116,14 +104,11 @@ func checkTopLevelRand(pass *Pass, gd *ast.GenDecl) {
 				if !ok {
 					return true
 				}
-				pkgPath, funcName, ok := calledPackageFunc(pass, call)
-				if !ok {
-					return true
-				}
-				if pkgPath == "math/rand" && (funcName == "New" || funcName == "NewSource") {
+				if pkgPath, funcName, ok := pkgFuncOf(pass.TypesInfo, call); ok &&
+					pkgPath == "math/rand" && (funcName == "New" || funcName == "NewSource") {
 					usesRandNew = true
 				}
-				if pkgPath == "time" && funcName == "Now" {
+				if kind, _, ok := callFact(pass.TypesInfo, call); ok && kind == effTime {
 					usesClock = true
 				}
 				return true
@@ -134,126 +119,4 @@ func checkTopLevelRand(pass *Pass, gd *ast.GenDecl) {
 			}
 		}
 	}
-}
-
-// checkMapRange flags order-dependent folds inside a range over a map.
-func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
-	t := pass.TypesInfo.Types[rng.X].Type
-	if t == nil {
-		return
-	}
-	if _, isMap := t.Underlying().(*types.Map); !isMap {
-		return
-	}
-	ast.Inspect(rng.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			checkMapRangeAssign(pass, rng, n)
-		case *ast.CallExpr:
-			if name, ok := serializationSink(pass, n); ok {
-				pass.Reportf(n.Pos(),
-					"%s inside a map range serializes entries in nondeterministic order; iterate stable.SortedKeys first (internal/stable)",
-					name)
-			}
-		}
-		return true
-	})
-}
-
-// checkMapRangeAssign flags appends and float accumulation into state
-// declared outside the loop. Integer tallies (commutative) and map→map
-// copies (order-blind) pass — metrics.LabeledCounter.Total and .Snapshot
-// are the canonical clean cases.
-func checkMapRangeAssign(pass *Pass, rng *ast.RangeStmt, assign *ast.AssignStmt) {
-	switch assign.Tok {
-	case token.ASSIGN:
-		for i, lhs := range assign.Lhs {
-			if i >= len(assign.Rhs) {
-				break
-			}
-			call, ok := unparen(assign.Rhs[i]).(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			if id, ok := call.Fun.(*ast.Ident); !ok || id.Name != "append" {
-				continue
-			}
-			if declaredOutside(pass, lhs, rng) {
-				pass.Reportf(assign.Pos(),
-					"append into %q while ranging a map accumulates in nondeterministic order; iterate stable.SortedKeys (internal/stable) or sort the result where it is built",
-					exprText(lhs))
-			}
-		}
-	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN:
-		for _, lhs := range assign.Lhs {
-			if !isFloat(pass, lhs) {
-				continue
-			}
-			if declaredOutside(pass, lhs, rng) {
-				pass.Reportf(assign.Pos(),
-					"float accumulation into %q while ranging a map is order-sensitive (FP addition does not commute bit-exactly); iterate stable.SortedKeys (internal/stable)",
-					exprText(lhs))
-			}
-		}
-	}
-}
-
-// serializationSink matches calls that emit entries to an ordered stream:
-// encoder Encode, writer Write/WriteString, and fmt.Fprint* (except to a
-// terminal stream, where ordering is cosmetic).
-func serializationSink(pass *Pass, call *ast.CallExpr) (string, bool) {
-	if pkgPath, funcName, ok := calledPackageFunc(pass, call); ok {
-		if pkgPath == "fmt" && (funcName == "Fprint" || funcName == "Fprintf" || funcName == "Fprintln") &&
-			len(call.Args) > 0 && !isStdStream(call.Args[0]) {
-			return "fmt." + funcName, true
-		}
-		return "", false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	switch sel.Sel.Name {
-	case "Encode", "Write", "WriteString":
-	default:
-		return "", false
-	}
-	// Method calls only (not pkg.Func, handled above).
-	if _, isFn := pass.TypesInfo.Uses[sel.Sel].(*types.Func); !isFn {
-		return "", false
-	}
-	return "." + sel.Sel.Name, true
-}
-
-// isStdStream matches os.Stdout / os.Stderr.
-func isStdStream(e ast.Expr) bool {
-	sel, ok := unparen(e).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	pkg, ok := sel.X.(*ast.Ident)
-	return ok && pkg.Name == "os" && (sel.Sel.Name == "Stdout" || sel.Sel.Name == "Stderr")
-}
-
-// declaredOutside reports whether the lvalue's root identifier is
-// declared outside the range statement (loop-local accumulators, reset
-// every iteration, cannot observe cross-iteration order).
-func declaredOutside(pass *Pass, lhs ast.Expr, rng *ast.RangeStmt) bool {
-	lhs = unparen(lhs)
-	// Map index writes (out[k] = v) are order-blind copies.
-	if idx, ok := lhs.(*ast.IndexExpr); ok && isMapIndex(pass, idx) {
-		return false
-	}
-	root := rootIdent(lhs)
-	if root == nil {
-		return false
-	}
-	obj := pass.TypesInfo.Uses[root]
-	if obj == nil {
-		obj = pass.TypesInfo.Defs[root]
-	}
-	if obj == nil {
-		return false
-	}
-	return obj.Pos() < rng.Pos() || obj.Pos() > rng.End()
 }

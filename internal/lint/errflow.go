@@ -73,12 +73,8 @@ func runErrFlow(pass *Pass) error {
 // errFlowSink classifies a call as a wire-boundary sink and names it for
 // the diagnostic.
 func errFlowSink(pass *Pass, call *ast.CallExpr) (string, bool) {
-	if pkgPath, funcName, ok := calledPackageFunc(pass, call); ok {
-		if pkgPath == "fmt" && (funcName == "Fprint" || funcName == "Fprintf" || funcName == "Fprintln") &&
-			len(call.Args) > 0 && !isStdStream(call.Args[0]) {
-			return "fmt." + funcName, true
-		}
-		return "", false
+	if _, _, ok := pkgFuncOf(pass.TypesInfo, call); ok {
+		return serializationSink(pass.TypesInfo, call) // fmt.Fprint* to a non-terminal stream
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || !errFlowSinks[sel.Sel.Name] {

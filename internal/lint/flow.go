@@ -5,8 +5,8 @@ package lint
 // "facts" (named dataflow properties, e.g. "mutex s.mu is held") forward
 // through a function body in execution order, joining facts at branch
 // merges. It is deliberately small — no basic blocks, no SSA, no
-// x/tools — because the analyzers built on it (lockheld today) only need
-// may-analysis over Go's structured statements:
+// x/tools — because its one client, the summaries' lock walk
+// (summary.go), only needs may-analysis over Go's structured statements:
 //
 //   - Branches (if/switch/select) analyze each arm from a clone of the
 //     incoming facts and union the arms that can fall through. Union is
@@ -23,8 +23,8 @@ package lint
 //     analyzers track. Visitors therefore see a statement more than once
 //     and must deduplicate reports by position.
 //   - Function literals are NOT descended into: a FuncLit runs on its
-//     own call (or goroutine) with its own fact state, so the analyzer
-//     driver walks each literal body as a separate function.
+//     own call (or goroutine) with its own fact state, so the lock walk
+//     walks each literal body as a separate function.
 
 import (
 	"go/ast"

@@ -30,6 +30,17 @@ func pathHasSegments(path, want string) bool {
 	return strings.Contains("/"+path+"/", "/"+want+"/")
 }
 
+// anyPathSegment reports whether path contains any of scopes as a run of
+// complete segments (pathHasSegments).
+func anyPathSegment(path string, scopes []string) bool {
+	for _, s := range scopes {
+		if pathHasSegments(path, s) {
+			return true
+		}
+	}
+	return false
+}
+
 // lastSegment returns the final slash-separated element of path.
 func lastSegment(path string) string {
 	if i := strings.LastIndexByte(path, '/'); i >= 0 {

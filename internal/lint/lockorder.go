@@ -2,8 +2,9 @@ package lint
 
 import (
 	"go/token"
-	"sort"
 	"strings"
+
+	"evvo/internal/stable"
 )
 
 // LockOrder flags cycles in the whole-program lock-acquisition-order
@@ -36,9 +37,6 @@ type lockGraph struct {
 	// edges maps from-class -> to-class -> the witness that established
 	// the edge (first establishment in deterministic function order).
 	edges map[string]map[string]*lockEdgeSite
-	// cyclic holds the set of classes on some cycle (non-trivial SCCs of
-	// the class graph).
-	cyclic map[string]bool
 }
 
 // lockEdgeSite records where an order edge was established and by whom.
@@ -49,36 +47,19 @@ type lockEdgeSite struct {
 }
 
 func runLockOrder(pass *Pass) error {
-	if pass.Prog == nil {
-		return nil
-	}
 	g := pass.Prog.lockOrderGraph()
-	// Report, in this package only, every edge on a cycle.
-	type finding struct {
-		site     *lockEdgeSite
-		from, to string
-	}
-	var findings []finding
-	for _, from := range sortedKeys(g.edges) {
-		if !g.cyclic[from] {
-			continue
-		}
-		for _, to := range sortedKeys(g.edges[from]) {
-			if !g.cyclic[to] || !onCommonCycle(g, from, to) {
-				continue
-			}
+	// Report, in this package only, every edge on a cycle: an edge
+	// from→to closes one when to reaches from again.
+	for _, from := range stable.SortedKeys(g.edges) {
+		for _, to := range stable.SortedKeys(g.edges[from]) {
 			site := g.edges[from][to]
-			if site.pkg != pass.PkgPath {
+			if site.pkg != pass.PkgPath || !g.reaches(to, from) {
 				continue
 			}
-			findings = append(findings, finding{site, from, to})
+			pass.Reportf(site.pos,
+				"lock order cycle: %s acquires %s while holding %s, but elsewhere the order is reversed (cycle: %s); pick one global order",
+				site.fn, to, from, g.cyclePath(from, to))
 		}
-	}
-	for _, f := range findings {
-		cycle := g.cyclePath(f.from, f.to)
-		pass.Reportf(f.site.pos,
-			"lock order cycle: %s acquires %s while holding %s, but elsewhere the order is reversed (cycle: %s); pick one global order",
-			f.site.fn, f.to, f.from, cycle)
 	}
 	return nil
 }
@@ -88,9 +69,9 @@ func (p *Program) lockOrderGraph() *lockGraph {
 	if p.lockGraph != nil {
 		return p.lockGraph
 	}
-	g := &lockGraph{edges: make(map[string]map[string]*lockEdgeSite), cyclic: make(map[string]bool)}
+	g := &lockGraph{edges: make(map[string]map[string]*lockEdgeSite)}
 	for _, n := range p.order { // deterministic (position) order: first establisher wins
-		for _, key := range sortedWitnessKeyList(n.sum.lockEdges) {
+		for _, key := range stable.SortedKeys(n.sum.lockEdges) {
 			parts := strings.SplitN(key, "\x00", 2)
 			from, to := parts[0], parts[1]
 			if g.edges[from] == nil {
@@ -105,19 +86,8 @@ func (p *Program) lockOrderGraph() *lockGraph {
 			}
 		}
 	}
-	g.markCycles()
 	p.lockGraph = g
 	return g
-}
-
-// markCycles marks every class that can reach itself through one or more
-// edges (i.e. lies on a directed cycle).
-func (g *lockGraph) markCycles() {
-	for _, start := range sortedKeys(g.edges) {
-		if g.reaches(start, start) {
-			g.cyclic[start] = true
-		}
-	}
 }
 
 // reaches reports whether dst is reachable from src via one or more
@@ -143,12 +113,6 @@ func (g *lockGraph) reaches(src, dst string) bool {
 		}
 	}
 	return false
-}
-
-// onCommonCycle reports whether the edge from→to closes a cycle: to can
-// reach from again.
-func onCommonCycle(g *lockGraph, from, to string) bool {
-	return g.reaches(to, from)
 }
 
 // cyclePath renders one concrete cycle through the edge from→to, for
@@ -177,7 +141,7 @@ func (g *lockGraph) cyclePath(from, to string) string {
 			parts := append([]string{from}, back...)
 			return strings.Join(parts, " -> ")
 		}
-		for _, next := range sortedKeys(g.edges[h.class]) {
+		for _, next := range stable.SortedKeys(g.edges[h.class]) {
 			if !seen[next] {
 				seen[next] = true
 				queue = append(queue, &hop{class: next, prev: h})
@@ -185,18 +149,4 @@ func (g *lockGraph) cyclePath(from, to string) string {
 		}
 	}
 	return from + " -> " + to + " -> ... -> " + from
-}
-
-// sortedKeys returns the map's keys in sorted order (deterministic
-// iteration over a map of edges — detcheck's own rule, honored here).
-func sortedKeys[V any](m map[string]V) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -51,14 +51,8 @@ var requiredPure = map[string]map[string]bool{
 }
 
 func runPurityCert(pass *Pass) error {
-	if pass.Prog == nil {
-		return nil
-	}
 	required := requiredPure[lastSegment(pass.PkgPath)]
-	for _, n := range pass.Prog.order {
-		if n.pkg.PkgPath != pass.PkgPath {
-			continue
-		}
+	for _, n := range pass.funcs() {
 		s := n.sum
 		if required[n.fn.Name()] && n.fn.Exported() && !s.certified {
 			pass.Reportf(n.decl.Pos(),
@@ -69,7 +63,7 @@ func runPurityCert(pass *Pass) error {
 		if !s.certified {
 			continue
 		}
-		for kind, w := range s.effects {
+		for kind, w := range s.facts[:numEffects] {
 			if w == nil {
 				continue
 			}

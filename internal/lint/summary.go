@@ -2,17 +2,22 @@ package lint
 
 // Bottom-up per-function summaries over the call graph (callgraph.go),
 // computed SCC by SCC in callees-first order with a fixpoint iteration
-// inside cycles. Each summary records four families of facts, every one
-// carrying a witness chain (the call path to the root cause) so the
-// analyzers built on top can explain a transitive finding end-to-end:
+// inside cycles. This file is the suite's one fact model: it is the only
+// code that turns a node of a function body into a fact, and the
+// analyzers built on it (detcheck, lockheld, hotalloc, puritycert,
+// lockorder, ctxprop) only report over what it recorded. Each summary
+// records four families of facts, every one carrying a witness chain
+// (the call path to the root cause) so a transitive finding can be
+// explained end-to-end:
 //
 //   - effects: nondeterministic inputs the function may observe — wall
-//     clock reads, global math/rand draws, order-dependent folds inside
-//     map ranges, package-level variable mutation;
+//     clock reads, global math/rand draws, order-dependent folds and
+//     serializations inside map ranges, package-level variable mutation;
 //   - lock sets: which lock classes the function may acquire, and the
 //     lock→lock acquisition-order edges it establishes (lock B taken
 //     while A is held), tracked flow-sensitively with the walker in
-//     flow.go so early-exit unlocks stay precise;
+//     flow.go so early-exit unlocks stay precise — the same walk records
+//     every blocking operation reached while a lock may be held;
 //   - blocking: whether the function may park — channel operations,
 //     selects without a default, time.Sleep, HTTP round trips — plus the
 //     ctxprop-specific refinement "blocks with no context.Context
@@ -21,27 +26,43 @@ package lint
 //     make/new/append, slice, map and pointer composite literals, and
 //     fmt calls (interface boxing).
 //
+// Besides the first witness of each fact, the summary keeps every DIRECT
+// site of it in the function's own body, so the per-site reporters
+// (detcheck, hotalloc) need no walk of their own.
+//
 // The contract with consumers (DESIGN.md §15): facts are MAY facts and
 // monotone — a call site unions the callee's summary into the caller —
 // so fixpoints converge; dynamic calls (function values, interface
 // methods) contribute no facts but set Dynamic, and each analyzer
-// documents how it treats that hole.
+// documents how it treats that hole. Unknown external callees are
+// assumed pure, non-blocking and allocation-free: the standard library
+// is loaded API-only, and the classifiers below cover the calls that
+// matter — the documented soundness boundary.
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
+	"strconv"
 	"strings"
+
+	"evvo/internal/stable"
 )
 
-// Effect kinds, in severity/report order.
+// Fact kinds. The first numEffects are the nondeterministic effects
+// puritycert certifies against, in severity/report order.
 const (
-	effTime = iota // wall-clock read (time.Now/Since/Until)
-	effRand        // global math/rand stream
-	effMapOrder    // order-dependent fold inside a map range
-	effGlobal      // package-level variable mutation
-	numEffects
+	effTime       = iota // wall-clock read (time.Now/Since/Until)
+	effRand              // global math/rand stream
+	effMapOrder          // order-dependent fold or serialization inside a map range
+	effGlobal            // package-level variable mutation
+	factBlocking         // may park (sync waits included)
+	factUnguarded        // may park with no context in scope (ctxprop)
+	factAlloc            // may allocate
+	numFacts
+
+	numEffects = factBlocking
 )
 
 var effectNames = [numEffects]string{"wall-clock", "global-rand", "map-order", "global-write"}
@@ -57,22 +78,31 @@ type witness struct {
 	via  *types.Func // nil when the fact is established directly
 }
 
+// heldBlock is one blocking operation reached while locks may be held.
+type heldBlock struct {
+	pos   token.Pos
+	what  string
+	locks []string // source text of each may-held lock ("g.mu"), sorted
+}
+
 // A Summary is the interprocedural fact set of one declared function.
 type Summary struct {
-	fn   *types.Func
-	node *fnode
-
-	effects [numEffects]*witness
-	// blocking: any parking operation, sync.WaitGroup/Cond waits
-	// included (the join discipline lockheld already polices).
-	blocking *witness
-	// unguarded: the ctxprop refinement — the function may park on a
-	// channel/select/sleep/HTTP op and has NO context.Context parameter,
-	// or calls such a function; the deadline cannot reach the block.
-	// Functions WITH a ctx parameter never propagate this upward: the
+	// facts holds the first witness of each fact kind, direct or
+	// arrived through a call. factBlocking includes sync.WaitGroup/Cond
+	// waits; factUnguarded is the ctxprop refinement — the function may
+	// park on a channel/select/sleep/HTTP op and has NO context.Context
+	// parameter, or calls such a function, so the deadline cannot reach
+	// the block. Functions WITH a ctx parameter never record it: the
 	// drop (if any) is reported inside them, where the ctx went missing.
-	unguarded *witness
-	allocs    *witness
+	facts [numFacts]*witness
+	// sites lists every direct occurrence of each fact kind in the
+	// function's own body, function literals included, in source order.
+	// Blocking sites are those that stall this function (not literals or
+	// go statements); factUnguarded has no direct sites of its own.
+	sites [numFacts][]witness
+	// held lists the blocking operations the lock walk reached while a
+	// lock may be held, function literals walked on their own.
+	held []heldBlock
 
 	// acquires: lock classes the function may take at some point during
 	// a call (transitively), each with the witness that first saw it.
@@ -87,19 +117,13 @@ type Summary struct {
 	hot       bool // carries //lint:hot
 }
 
-func (s *Summary) pure() bool {
-	for _, w := range s.effects {
-		if w != nil {
-			return false
-		}
-	}
-	return true
-}
-
 // summarize computes every node's Summary, bottom-up over the SCC DAG.
+// Direct facts are scanned once per node up front (they cannot change);
+// the fixpoint only re-merges callees and re-runs the lock walk.
 func summarize(prog *Program) {
 	for _, n := range prog.order {
 		n.sum = newSummary(n)
+		scanDirect(n, n.sum)
 	}
 	for _, scc := range prog.sccs() {
 		// Deterministic member order inside the component.
@@ -120,8 +144,6 @@ func summarize(prog *Program) {
 
 func newSummary(n *fnode) *Summary {
 	s := &Summary{
-		fn:        n.fn,
-		node:      n,
 		acquires:  make(map[string]*witness),
 		lockEdges: make(map[string]*witness),
 		hasCtx:    signatureCarriesCtx(n.fn),
@@ -134,7 +156,7 @@ func newSummary(n *fnode) *Summary {
 	return s
 }
 
-// computeSummary (re)derives n's facts from its body and the CURRENT
+// computeSummary (re)derives n's transitive facts from the CURRENT
 // summaries of its callees, reporting whether anything new appeared —
 // the fixpoint test inside an SCC. Facts only ever turn on, so the
 // iteration terminates.
@@ -142,16 +164,12 @@ func computeSummary(prog *Program, n *fnode) bool {
 	s := n.sum
 	before := s.factKey()
 
-	scanDirect(n, s)
-
 	for _, cs := range n.calls {
 		if cs.target != nil {
 			mergeCallee(s, cs, cs.target.sum)
-		} else {
-			mergeExternal(n.pkg, s, cs)
-		}
-		if cs.target != nil && cs.target.sum.dynamic {
-			s.dynamic = true
+			if cs.target.sum.dynamic {
+				s.dynamic = true
+			}
 		}
 	}
 
@@ -165,19 +183,10 @@ func computeSummary(prog *Program, n *fnode) bool {
 // legitimately move between iterations without new facts appearing).
 func (s *Summary) factKey() string {
 	var b strings.Builder
-	for i := range s.effects {
-		if s.effects[i] != nil {
+	for i := range s.facts {
+		if s.facts[i] != nil {
 			b.WriteByte(byte('0' + i))
 		}
-	}
-	if s.blocking != nil {
-		b.WriteByte('B')
-	}
-	if s.unguarded != nil {
-		b.WriteByte('U')
-	}
-	if s.allocs != nil {
-		b.WriteByte('A')
 	}
 	if s.dynamic {
 		b.WriteByte('D')
@@ -197,46 +206,39 @@ func (s *Summary) factKey() string {
 	return b.String()
 }
 
-// scanDirect records the facts n's own body establishes without calls:
-// direct blocking operations, allocation sites, map-order folds and
-// global writes. Function literals are included for effects/allocations
-// (they belong to whoever wrote them) but not for blocking.
+// scanDirect records every fact n's own body establishes without calls:
+// blocking operations, allocation sites, clock and rand reads, map-order
+// folds and global writes. Function literals are included for effects/
+// allocations (they belong to whoever wrote them) but not for blocking.
 func scanDirect(n *fnode, s *Summary) {
 	info := n.pkg.TypesInfo
 	var scan func(node ast.Node, noBlock bool)
 	scan = func(node ast.Node, noBlock bool) {
 		ast.Inspect(node, func(nd ast.Node) bool {
+			if what, join, ok := blockingOp(info, nd); ok && !noBlock {
+				s.addSite(factBlocking, nd.Pos(), what)
+				// WaitGroup/Cond waits count as blocking (lockheld's
+				// concern) but NOT as unguarded blocking: a join on
+				// workers that carry the ctx themselves is the blessed
+				// fan-out shape (par.ForEach), and flagging it would
+				// punish exactly the cancellable DP workers. A select is HOW a
+				// ctx-aware function blocks correctly (ctx.Done is one of
+				// the arms), so it only counts as unguarded when no ctx is
+				// in scope — exactly the hasCtx test applied by set.
+				if !join {
+					s.set(factUnguarded, nd.Pos(), what, nil)
+				}
+			}
 			switch nd := nd.(type) {
 			case *ast.FuncLit:
 				scan(nd.Body, true)
 				return false
 			case *ast.GoStmt:
-				// Effects and allocations in the spawned call's arguments
-				// still happen synchronously; blocking does not.
-				for _, arg := range nd.Call.Args {
-					scan(arg, true)
-				}
-				scan(nd.Call.Fun, true)
+				// Effects and allocations of the spawned call and its
+				// arguments still happen synchronously; blocking does not.
+				scan(nd.Call, true)
 				return false
-			case *ast.SendStmt:
-				if !noBlock {
-					s.setBlocking(nd.Pos(), "channel send", nil)
-					s.setUnguarded(nd.Pos(), "channel send", nil)
-				}
-			case *ast.UnaryExpr:
-				if nd.Op == token.ARROW && !noBlock {
-					s.setBlocking(nd.Pos(), "channel receive", nil)
-					s.setUnguarded(nd.Pos(), "channel receive", nil)
-				}
 			case *ast.SelectStmt:
-				if !hasDefaultClause(nd.Body) && !noBlock {
-					s.setBlocking(nd.Pos(), "select without default", nil)
-					// A select is HOW a ctx-aware function blocks
-					// correctly (ctx.Done is one of the arms), so it only
-					// counts as unguarded when no ctx is in scope — which
-					// is exactly the hasCtx test applied by setUnguarded.
-					s.setUnguarded(nd.Pos(), "select without default", nil)
-				}
 				// The comm operations are PART of the select — a receive
 				// under a default-carrying select never parks — so only
 				// the clause bodies are scanned, not the comm headers.
@@ -249,35 +251,29 @@ func scanDirect(n *fnode, s *Summary) {
 				}
 				return false
 			case *ast.RangeStmt:
-				t := info.Types[nd.X].Type
-				if t != nil {
-					if _, isChan := t.Underlying().(*types.Chan); isChan && !noBlock {
-						s.setBlocking(nd.Pos(), "range over channel", nil)
-						s.setUnguarded(nd.Pos(), "range over channel", nil)
-					}
-					if _, isMap := t.Underlying().(*types.Map); isMap {
-						for _, h := range mapRangeHazards(info, nd) {
-							s.setEffect(effMapOrder, h.pos, h.what, nil)
-							break
-						}
+				if isMapExpr(info, nd.X) {
+					for _, h := range mapRangeHazards(info, nd) {
+						s.addSite(effMapOrder, h.pos, h.what)
 					}
 				}
 			case *ast.AssignStmt:
 				for _, lhs := range nd.Lhs {
 					if pos, name, ok := writesPackageLevel(info, lhs); ok {
-						s.setEffect(effGlobal, pos, "writes package-level var "+name, nil)
+						s.addSite(effGlobal, pos, "writes package-level var "+name)
 					}
 				}
 			case *ast.IncDecStmt:
 				if pos, name, ok := writesPackageLevel(info, nd.X); ok {
-					s.setEffect(effGlobal, pos, "writes package-level var "+name, nil)
+					s.addSite(effGlobal, pos, "writes package-level var "+name)
 				}
 			case *ast.CompositeLit:
 				if w, ok := allocatingLiteral(info, nd); ok {
-					s.setAlloc(nd.Pos(), w, nil)
+					s.addSite(factAlloc, nd.Pos(), w)
 				}
 			case *ast.CallExpr:
-				scanDirectCall(n, s, nd, noBlock)
+				if kind, what, ok := callFact(info, nd); ok {
+					s.addSite(kind, nd.Pos(), what)
+				}
 			}
 			return true
 		})
@@ -285,88 +281,104 @@ func scanDirect(n *fnode, s *Summary) {
 	scan(n.decl.Body, false)
 }
 
-// scanDirectCall classifies one call site for the DIRECT facts it
-// establishes: builtin allocators and the curated external tables.
-// In-Program callees are merged separately (mergeCallee).
-func scanDirectCall(n *fnode, s *Summary, call *ast.CallExpr, noBlock bool) {
-	info := n.pkg.TypesInfo
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
+// callFact classifies one call site for the direct, non-blocking fact it
+// establishes: builtin allocators, clock reads, global rand draws and fmt
+// boxing. In-Program callees are merged separately (mergeCallee).
+func callFact(info *types.Info, call *ast.CallExpr) (kind int, what string, ok bool) {
+	if id, isID := unparen(call.Fun).(*ast.Ident); isID {
 		if b, isB := info.Uses[id].(*types.Builtin); isB {
 			switch b.Name() {
 			case "append":
-				s.setAlloc(call.Pos(), "append growth", nil)
-			case "make":
-				s.setAlloc(call.Pos(), "make", nil)
-			case "new":
-				s.setAlloc(call.Pos(), "new", nil)
+				return factAlloc, "append growth", true
+			case "make", "new":
+				return factAlloc, b.Name(), true
 			}
-			return
 		}
+		return 0, "", false
 	}
 	pkgPath, funcName, isPkgFn := pkgFuncOf(info, call)
-	if isPkgFn {
-		switch {
-		case pkgPath == "time" && (funcName == "Now" || funcName == "Since" || funcName == "Until"):
-			s.setEffect(effTime, call.Pos(), "time."+funcName+"()", nil)
-		case pkgPath == "math/rand" && globalRandFns[funcName]:
-			s.setEffect(effRand, call.Pos(), "rand."+funcName+" (global source)", nil)
-		case pkgPath == "time" && funcName == "Sleep":
-			if !noBlock {
-				s.setBlocking(call.Pos(), "time.Sleep", nil)
-				s.setUnguarded(call.Pos(), "time.Sleep", nil)
+	switch {
+	case !isPkgFn:
+	case pkgPath == "time" && (funcName == "Now" || funcName == "Since" || funcName == "Until"):
+		return effTime, "time." + funcName + "()", true
+	case pkgPath == "math/rand" && globalRandFns[funcName]:
+		return effRand, "rand." + funcName, true
+	case pkgPath == "fmt":
+		return factAlloc, "fmt." + funcName + " (interface boxing)", true
+	}
+	return 0, "", false
+}
+
+// globalRandFns are math/rand package-level functions that draw from the
+// shared global source.
+var globalRandFns = map[string]bool{
+	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
+	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
+	"Float32": true, "Float64": true, "NormFloat64": true,
+	"ExpFloat64": true, "Perm": true, "Shuffle": true, "Read": true,
+}
+
+// blockingOp classifies one node as an operation that may park the
+// goroutine running it, naming it for witnesses and diagnostics: channel
+// sends and receives, range over a channel, selects without a default,
+// time.Sleep, HTTP round trips (net/http helpers and http.Client
+// methods) and sync waits. join marks the sync waits (WaitGroup/Cond).
+func blockingOp(info *types.Info, nd ast.Node) (what string, join, ok bool) {
+	switch nd := nd.(type) {
+	case *ast.SendStmt:
+		return "channel send", false, true
+	case *ast.UnaryExpr:
+		if nd.Op == token.ARROW {
+			return "channel receive", false, true
+		}
+	case *ast.SelectStmt:
+		if !hasDefaultClause(nd.Body) {
+			return "select without default", false, true
+		}
+	case *ast.RangeStmt:
+		if t := info.Types[nd.X].Type; t != nil {
+			if _, isChan := t.Underlying().(*types.Chan); isChan {
+				return "range over channel", false, true
 			}
-		case pkgPath == "fmt":
-			s.setAlloc(call.Pos(), "fmt."+funcName+" (formats through interface boxing)", nil)
-		case pkgPath == "net/http" && blockingHTTPFns[funcName]:
-			if !noBlock {
-				s.setBlocking(call.Pos(), "http."+funcName, nil)
-				s.setUnguarded(call.Pos(), "http."+funcName, nil)
+		}
+	case *ast.CallExpr:
+		if pkgPath, funcName, isPkgFn := pkgFuncOf(info, nd); isPkgFn {
+			switch {
+			case pkgPath == "time" && funcName == "Sleep":
+				return "time.Sleep", false, true
+			case pkgPath == "net/http" && blockingHTTPFns[funcName]:
+				return "http." + funcName, false, true
 			}
+			return "", false, false
 		}
-		return
-	}
-	// External method calls: http.Client round trips and sync waits.
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	recv := receiverType(info, sel)
-	switch sel.Sel.Name {
-	case "Do", "Get", "Post", "PostForm", "Head":
-		if recv != nil && types.TypeString(recv, nil) == "net/http.Client" && !noBlock {
-			s.setBlocking(call.Pos(), "http.Client."+sel.Sel.Name, nil)
-			s.setUnguarded(call.Pos(), "http.Client."+sel.Sel.Name, nil)
+		sel, isSel := unparen(nd.Fun).(*ast.SelectorExpr)
+		if !isSel {
+			return "", false, false
 		}
-	case "Wait":
-		// WaitGroup/Cond waits count as blocking (lockheld's concern)
-		// but NOT as unguarded blocking: a join on workers that carry
-		// the ctx themselves is the blessed fan-out shape (par.ForEach),
-		// and flagging it would punish exactly the code PR 3 fixed.
-		if isSyncWaitType(recv) && !noBlock {
-			s.setBlocking(call.Pos(), "sync "+exprText(sel.X)+".Wait", nil)
+		recv := receiverType(info, sel)
+		switch name := sel.Sel.Name; {
+		case (name == "Do" || blockingHTTPFns[name]) && recv != nil && types.TypeString(recv, nil) == "net/http.Client":
+			return "http.Client." + name, false, true
+		case name == "Wait" && isSyncWaitType(recv):
+			return "sync " + exprText(sel.X) + ".Wait", true, true
 		}
 	}
+	return "", false, false
 }
 
 // mergeCallee unions a resolved in-Program callee's summary into the
 // caller at one call site.
 func mergeCallee(s *Summary, cs callSite, callee *Summary) {
-	for i, w := range callee.effects {
-		if w != nil {
-			s.setEffect(i, cs.pos, w.what, cs.callee)
+	for kind, w := range callee.facts {
+		// Blocking under a go statement or in a literal parks another
+		// goroutine. The unguarded refinement also stops at ctx
+		// boundaries: a callee WITH a ctx parameter owns its own blocking
+		// discipline (and any drop inside it is reported there by ctxprop).
+		skip := (kind == factBlocking || kind == factUnguarded) && cs.noBlock ||
+			kind == factUnguarded && callee.hasCtx
+		if w != nil && !skip {
+			s.set(kind, cs.pos, w.what, cs.callee)
 		}
-	}
-	if callee.blocking != nil && !cs.noBlock {
-		s.setBlocking(cs.pos, callee.blocking.what, cs.callee)
-	}
-	// The unguarded refinement stops at ctx boundaries: a callee WITH a
-	// ctx parameter owns its own blocking discipline (and any drop
-	// inside it is reported there by ctxprop).
-	if callee.unguarded != nil && !callee.hasCtx && !cs.noBlock {
-		s.setUnguarded(cs.pos, callee.unguarded.what, cs.callee)
-	}
-	if callee.allocs != nil {
-		s.setAlloc(cs.pos, callee.allocs.what, cs.callee)
 	}
 	for class, w := range callee.acquires {
 		if s.acquires[class] == nil {
@@ -380,60 +392,40 @@ func mergeCallee(s *Summary, cs callSite, callee *Summary) {
 	// edge exactly one owning package to report (and waive) in.
 }
 
-// mergeExternal folds the curated classification of an out-of-Program
-// callee into the caller. Unknown externals are assumed pure,
-// non-blocking and allocation-free: the standard library is loaded
-// API-only, and the tables in scanDirectCall cover the calls that
-// matter. This is the documented soundness boundary (DESIGN.md §15).
-func mergeExternal(pkg *Package, s *Summary, cs callSite) {
-	// Everything external that needs classification is recognized
-	// syntactically in scanDirect (pkg.Func shapes and method names), so
-	// nothing further to do here; the hook exists so a future
-	// export-data loader can consult real summaries.
-	_ = pkg
-	_ = cs
-}
-
-func (s *Summary) setEffect(kind int, pos token.Pos, what string, via *types.Func) {
-	if s.effects[kind] == nil {
-		s.effects[kind] = &witness{pos: pos, what: what, via: via}
+// set records the first witness of a fact kind. A ctx parameter in scope
+// keeps factUnguarded off: drops are ctxprop's per-call-site business.
+func (s *Summary) set(kind int, pos token.Pos, what string, via *types.Func) {
+	if kind == factUnguarded && s.hasCtx {
+		return
+	}
+	if s.facts[kind] == nil {
+		s.facts[kind] = &witness{pos: pos, what: what, via: via}
 	}
 }
 
-func (s *Summary) setBlocking(pos token.Pos, what string, via *types.Func) {
-	if s.blocking == nil {
-		s.blocking = &witness{pos: pos, what: what, via: via}
-	}
-}
-
-func (s *Summary) setUnguarded(pos token.Pos, what string, via *types.Func) {
-	if s.hasCtx {
-		return // a ctx parameter is in scope; drops are ctxprop's per-call-site business
-	}
-	if s.unguarded == nil {
-		s.unguarded = &witness{pos: pos, what: what, via: via}
-	}
-}
-
-func (s *Summary) setAlloc(pos token.Pos, what string, via *types.Func) {
-	if s.allocs == nil {
-		s.allocs = &witness{pos: pos, what: what, via: via}
-	}
+// addSite records one direct occurrence of a fact kind.
+func (s *Summary) addSite(kind int, pos token.Pos, what string) {
+	s.sites[kind] = append(s.sites[kind], witness{pos: pos, what: what})
+	s.set(kind, pos, what, nil)
 }
 
 // lockWalk runs the flow walker over n's body tracking may-held lock
-// classes, recording acquisitions and order edges into the summary.
-// Callee acquisitions (from the current summaries) establish edges too:
-// holding A while calling a function that takes B is an A→B edge even
-// though no Lock() appears here — the cross-file case lockheld misses.
+// classes, recording acquisitions, order edges and the blocking
+// operations reached with a lock held into the summary. Callee
+// acquisitions (from the current summaries) establish edges too: holding
+// A while calling a function that takes B is an A→B edge even though no
+// Lock() appears here. The walk reruns on every fixpoint iteration, so
+// held blocks are rebuilt from scratch each time.
 func lockWalk(prog *Program, n *fnode) {
-	v := &lockOrderVisitor{prog: prog, n: n, s: n.sum}
+	n.sum.held = nil
+	v := &lockOrderVisitor{prog: prog, n: n, s: n.sum, lockText: map[token.Pos]string{}, seen: map[token.Pos]bool{}}
 	walkFlow(n.decl.Body, v)
 	// Function literals hold no caller locks at entry (they run on their
-	// own activation), but their own acquisitions and edges belong to
-	// this declaration. Descend fully so nested literals get their own
-	// walk too (re-walking an outer literal's straight-line statements is
-	// idempotent: fact insertion and witness recording are set-like).
+	// own activation), but their own acquisitions, edges and held blocks
+	// belong to this declaration. Descend fully so nested literals get
+	// their own walk too (re-walking an outer literal's straight-line
+	// statements is idempotent: fact insertion and witness recording are
+	// set-like).
 	ast.Inspect(n.decl.Body, func(nd ast.Node) bool {
 		if lit, ok := nd.(*ast.FuncLit); ok {
 			walkFlow(lit.Body, v)
@@ -442,29 +434,54 @@ func lockWalk(prog *Program, n *fnode) {
 	})
 }
 
-// lockOrderVisitor is the flowVisitor computing lock classes and order
-// edges. Facts are keyed by lock class (lockClassOf).
+// lockOrderVisitor is the flowVisitor computing lock classes, order
+// edges and held blocks. Facts are keyed by lock class (lockClassOf);
+// lockText maps each acquiring call's position to the lock's source
+// text, so held blocks can name the lock as written ("g.mu"). seen
+// deduplicates held blocks: loop bodies are walked twice.
 type lockOrderVisitor struct {
-	prog *Program
-	n    *fnode
-	s    *Summary
+	prog     *Program
+	n        *fnode
+	s        *Summary
+	lockText map[token.Pos]string
+	seen     map[token.Pos]bool
 }
 
 func (v *lockOrderVisitor) transfer(stmt ast.Stmt, facts factSet) {
 	switch stmt.(type) {
 	case *ast.DeferStmt, *ast.GoStmt:
-		// defer unlocks run at exit (lock stays held — facts untouched);
-		// go bodies run elsewhere and are walked separately.
+		// defer unlocks run at exit (lock stays held — facts untouched,
+		// later blocking calls still count); go bodies run elsewhere and
+		// are walked separately.
 		return
 	}
+	v.blockHeld(stmt, facts)
 	inspectShallow(headerExprs(stmt), func(nd ast.Node) bool {
-		call, ok := nd.(*ast.CallExpr)
-		if !ok {
-			return true
+		v.blockHeld(nd, facts)
+		if call, ok := nd.(*ast.CallExpr); ok {
+			v.transferCall(call, facts)
 		}
-		v.transferCall(call, facts)
 		return true
 	})
+}
+
+// blockHeld records nd as a held block when it may park while any lock
+// may be held.
+func (v *lockOrderVisitor) blockHeld(nd ast.Node, held factSet) {
+	if len(held) == 0 {
+		return
+	}
+	what, _, ok := blockingOp(v.n.pkg.TypesInfo, nd)
+	if !ok || v.seen[nd.Pos()] {
+		return
+	}
+	v.seen[nd.Pos()] = true
+	locks := make([]string, 0, len(held))
+	for _, pos := range held {
+		locks = append(locks, v.lockText[pos])
+	}
+	sort.Strings(locks)
+	v.s.held = append(v.s.held, heldBlock{pos: nd.Pos(), what: what, locks: locks})
 }
 
 func (v *lockOrderVisitor) transferCall(call *ast.CallExpr, facts factSet) {
@@ -478,6 +495,7 @@ func (v *lockOrderVisitor) transferCall(call *ast.CallExpr, facts factSet) {
 			}
 			switch sel.Sel.Name {
 			case "Lock", "RLock":
+				v.lockText[call.Pos()] = exprText(sel.X)
 				v.acquire(class, call.Pos(), facts, nil)
 			case "Unlock", "RUnlock":
 				delete(facts, class)
@@ -495,7 +513,7 @@ func (v *lockOrderVisitor) transferCall(call *ast.CallExpr, facts factSet) {
 	if target == nil || target.sum == nil {
 		return
 	}
-	for _, class := range sortedWitnessKeyList(target.sum.acquires) {
+	for _, class := range stable.SortedKeys(target.sum.acquires) {
 		v.acquireTransitive(class, call.Pos(), facts, callee)
 	}
 }
@@ -535,20 +553,6 @@ func (v *lockOrderVisitor) addEdges(class string, pos token.Pos, held factSet, v
 			v.s.lockEdges[key] = &witness{pos: pos, what: heldClass + " -> " + class, via: via}
 		}
 	}
-}
-
-// sortedWitnessKeyList returns the map's keys sorted, for deterministic
-// edge formation order.
-func sortedWitnessKeyList(m map[string]*witness) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // lockClassOf canonicalizes a lock expression to a stable class name:
@@ -605,6 +609,31 @@ func receiverType(info *types.Info, sel *ast.SelectorExpr) types.Type {
 		return p.Elem()
 	}
 	return t
+}
+
+// isMutexType matches sync.Mutex, sync.RWMutex and the sync.Locker
+// interface (pointer receivers already stripped by the caller).
+func isMutexType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	switch types.TypeString(t, nil) {
+	case "sync.Mutex", "sync.RWMutex", "sync.Locker":
+		return true
+	}
+	return false
+}
+
+// isSyncWaitType matches sync.WaitGroup and sync.Cond receivers.
+func isSyncWaitType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	switch types.TypeString(t, nil) {
+	case "sync.WaitGroup", "sync.Cond":
+		return true
+	}
+	return false
 }
 
 // signatureCarriesCtx reports whether the function can thread a request
@@ -686,55 +715,46 @@ func writesPackageLevel(info *types.Info, lhs ast.Expr) (token.Pos, string, bool
 	return root.Pos(), v.Name(), true
 }
 
-// mapRangeHazard is one order-dependent fold found inside a map range.
-type mapRangeHazard struct {
-	pos  token.Pos
-	what string
-}
-
-// mapRangeHazards is the info-based core of detcheck's map-range rule,
-// shared with the summary builder: appends and float accumulation into
-// state declared outside a range-over-map observe iteration order.
-// Integer tallies and map-index copies stay silent (commutative /
-// order-blind), matching detcheck exactly so puritycert never
-// contradicts the intra-procedural analyzer.
-func mapRangeHazards(info *types.Info, rng *ast.RangeStmt) []mapRangeHazard {
-	var out []mapRangeHazard
+// mapRangeHazards lists the order-dependent folds inside one range over
+// a map: appends and float accumulation into state declared outside the
+// range, and serialization of entries to an ordered stream. Integer
+// tallies and map-index copies stay silent (commutative / order-blind) —
+// metrics.LabeledCounter.Total and .Snapshot are the canonical clean
+// cases. A nested map range is skipped here: scanDirect reaches it on its
+// own, and each fold is judged against its innermost map range.
+func mapRangeHazards(info *types.Info, rng *ast.RangeStmt) []witness {
+	var out []witness
 	ast.Inspect(rng.Body, func(nd ast.Node) bool {
-		assign, ok := nd.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		switch assign.Tok {
-		case token.ASSIGN:
-			for i, lhs := range assign.Lhs {
-				if i >= len(assign.Rhs) {
-					break
-				}
-				call, ok := unparen(assign.Rhs[i]).(*ast.CallExpr)
-				if !ok {
-					continue
-				}
-				if id, ok := call.Fun.(*ast.Ident); !ok || id.Name != "append" {
-					continue
-				}
-				if infoDeclaredOutside(info, lhs, rng) {
-					out = append(out, mapRangeHazard{assign.Pos(),
-						"append into " + exprText(lhs) + " while ranging a map"})
-				}
+		switch nd := nd.(type) {
+		case *ast.RangeStmt:
+			return !isMapExpr(info, nd.X)
+		case *ast.CallExpr:
+			if name, ok := serializationSink(info, nd); ok {
+				out = append(out, witness{pos: nd.Pos(), what: name + " inside a map range serializes entries"})
 			}
-		case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN:
-			for _, lhs := range assign.Lhs {
-				t := info.Types[lhs].Type
-				if t == nil {
-					continue
+		case *ast.AssignStmt:
+			switch nd.Tok {
+			case token.ASSIGN:
+				for i, lhs := range nd.Lhs {
+					if i >= len(nd.Rhs) {
+						break
+					}
+					call, ok := unparen(nd.Rhs[i]).(*ast.CallExpr)
+					if !ok {
+						continue
+					}
+					if id, ok := call.Fun.(*ast.Ident); !ok || id.Name != "append" {
+						continue
+					}
+					if declaredOutside(info, lhs, rng) {
+						out = append(out, witness{pos: nd.Pos(), what: "append into " + strconv.Quote(exprText(lhs)) + " while ranging a map"})
+					}
 				}
-				if b, ok := t.Underlying().(*types.Basic); !ok || b.Info()&types.IsFloat == 0 {
-					continue
-				}
-				if infoDeclaredOutside(info, lhs, rng) {
-					out = append(out, mapRangeHazard{assign.Pos(),
-						"float accumulation into " + exprText(lhs) + " while ranging a map"})
+			case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN:
+				for _, lhs := range nd.Lhs {
+					if isFloat(info, lhs) && declaredOutside(info, lhs, rng) {
+						out = append(out, witness{pos: nd.Pos(), what: "float accumulation into " + strconv.Quote(exprText(lhs)) + " while ranging a map"})
+					}
 				}
 			}
 		}
@@ -743,16 +763,51 @@ func mapRangeHazards(info *types.Info, rng *ast.RangeStmt) []mapRangeHazard {
 	return out
 }
 
-// infoDeclaredOutside mirrors detcheck's declaredOutside without the
-// *Pass dependency.
-func infoDeclaredOutside(info *types.Info, lhs ast.Expr, rng *ast.RangeStmt) bool {
-	lhs = unparen(lhs)
-	if idx, ok := lhs.(*ast.IndexExpr); ok {
-		if t := info.Types[idx.X].Type; t != nil {
-			if _, isMap := t.Underlying().(*types.Map); isMap {
-				return false
-			}
+// serializationSink matches calls that emit entries to an ordered stream:
+// encoder Encode, writer Write/WriteString, and fmt.Fprint* (except to a
+// terminal stream, where ordering is cosmetic).
+func serializationSink(info *types.Info, call *ast.CallExpr) (string, bool) {
+	if pkgPath, funcName, ok := pkgFuncOf(info, call); ok {
+		if pkgPath == "fmt" && (funcName == "Fprint" || funcName == "Fprintf" || funcName == "Fprintln") &&
+			len(call.Args) > 0 && !isStdStream(call.Args[0]) {
+			return "fmt." + funcName, true
 		}
+		return "", false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	switch sel.Sel.Name {
+	case "Encode", "Write", "WriteString":
+	default:
+		return "", false
+	}
+	// Method calls only (not pkg.Func, handled above).
+	if _, isFn := info.Uses[sel.Sel].(*types.Func); !isFn {
+		return "", false
+	}
+	return "." + sel.Sel.Name, true
+}
+
+// isStdStream matches os.Stdout / os.Stderr.
+func isStdStream(e ast.Expr) bool {
+	sel, ok := unparen(e).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	pkg, ok := sel.X.(*ast.Ident)
+	return ok && pkg.Name == "os" && (sel.Sel.Name == "Stdout" || sel.Sel.Name == "Stderr")
+}
+
+// declaredOutside reports whether the lvalue's root identifier is
+// declared outside the range statement (loop-local accumulators, reset
+// every iteration, cannot observe cross-iteration order). Map index
+// writes (out[k] = v) are order-blind copies.
+func declaredOutside(info *types.Info, lhs ast.Expr, rng *ast.RangeStmt) bool {
+	lhs = unparen(lhs)
+	if idx, ok := lhs.(*ast.IndexExpr); ok && isMapExpr(info, idx.X) {
+		return false
 	}
 	root := rootIdent(lhs)
 	if root == nil {
@@ -768,8 +823,18 @@ func infoDeclaredOutside(info *types.Info, lhs ast.Expr, rng *ast.RangeStmt) boo
 	return obj.Pos() < rng.Pos() || obj.Pos() > rng.End()
 }
 
-// pkgFuncOf is calledPackageFunc without the *Pass dependency, shared by
-// the summary builder.
+// isMapExpr reports whether e has map type.
+func isMapExpr(info *types.Info, e ast.Expr) bool {
+	t := info.Types[e].Type
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Map)
+	return ok
+}
+
+// pkgFuncOf resolves a call of the form pkg.Func and returns the
+// imported package's path and the function name.
 func pkgFuncOf(info *types.Info, call *ast.CallExpr) (pkgPath, funcName string, ok bool) {
 	sel, ok2 := unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok2 {
@@ -809,12 +874,7 @@ func (p *Program) chainString(fn *types.Func, w *witness) string {
 // fact the caller's witness described (same what), so chains descend to
 // the root cause.
 func nextWitness(callee *Summary, w *witness) *witness {
-	for _, cw := range callee.effects {
-		if cw != nil && cw.what == w.what {
-			return cw
-		}
-	}
-	for _, cw := range []*witness{callee.blocking, callee.unguarded, callee.allocs} {
+	for _, cw := range callee.facts {
 		if cw != nil && cw.what == w.what {
 			return cw
 		}
@@ -852,21 +912,21 @@ func (p *Program) Summaries() []FuncSummary {
 		fs := FuncSummary{
 			Func:      funcDisplayName(n.fn),
 			Package:   n.pkg.PkgPath,
-			Blocks:    s.blocking != nil,
-			Unguarded: s.unguarded != nil,
-			Allocates: s.allocs != nil,
+			Blocks:    s.facts[factBlocking] != nil,
+			Unguarded: s.facts[factUnguarded] != nil,
+			Allocates: s.facts[factAlloc] != nil,
 			CtxParam:  s.hasCtx,
 			Dynamic:   s.dynamic,
 			Certified: s.certified,
 			Hot:       s.hot,
 		}
-		for i, w := range s.effects {
+		for i, w := range s.facts[:numEffects] {
 			if w != nil {
 				fs.Effects = append(fs.Effects, effectNames[i])
 			}
 		}
-		fs.Acquires = sortedWitnessKeyList(s.acquires)
-		for _, key := range sortedWitnessKeyList(s.lockEdges) {
+		fs.Acquires = stable.SortedKeys(s.acquires)
+		for _, key := range stable.SortedKeys(s.lockEdges) {
 			fs.LockEdges = append(fs.LockEdges, strings.ReplaceAll(key, "\x00", " -> "))
 		}
 		out = append(out, fs)
