@@ -1,4 +1,4 @@
-# Developer / CI entry points. `make check` is the gate: vet, build, the
+# Developer / CI entry points. `make check` is the gate: gofmt, vet, build, the
 # full test suite under the race detector — the race flag exercises the DP's
 # parallel relaxation, the departure-sweep pool, the minibatch sharding and
 # the fleet planner — plus a one-iteration benchmark smoke pass so the
@@ -6,9 +6,14 @@
 
 GO ?= go
 
-.PHONY: check vet lint build test race bench bench-smoke bench-fleet bench-dp chaos chaos-cluster perfbench
+.PHONY: check fmt vet lint build test race bench bench-smoke bench-fleet bench-dp chaos chaos-cluster perfbench
 
-check: vet lint build race bench-smoke bench-fleet bench-dp chaos chaos-cluster perfbench
+check: fmt vet lint build race bench-smoke bench-fleet bench-dp chaos chaos-cluster perfbench
+
+# Every .go file in the tree (the nested perfbench module included) must be
+# gofmt-clean; `gofmt -l` names the offenders.
+fmt:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...

@@ -9,6 +9,11 @@
 //	       [-node-id n1 -peers "n2=http://host:port,n3=..." ]
 //	       [-replicas 2] [-heartbeat-ms 500]
 //
+// A solve that overruns half of -deadline is re-solved on the coarse
+// grid (velocity-grid factor 3, DESIGN.md §12) on the rest; a request
+// whose deadline expires with nothing computed gets a stale cached plan
+// for its route, else a retryable 503 (DESIGN.md §8).
+//
 // With -node-id and -peers the process joins a cloudd cluster
 // (DESIGN.md §13): segment-table ownership is sharded across the members
 // by consistent hashing, built tables replicate to ring successors, and
@@ -49,7 +54,6 @@ func main() {
 		maxInflight = flag.Int("max-inflight", 0, "max concurrently computing requests (0 = 2×GOMAXPROCS, <0 disables admission control)")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget for in-flight requests")
 		segTables   = flag.Bool("segment-tables", true, "serve from shared per-segment DP tables (DESIGN.md §11) instead of per-request full solves")
-		coarseRung  = flag.Int("coarse-ladder", 3, "degradation-ladder coarse-grid rung: velocity-grid factor for the approximate re-solve when the exact DP blows its budget (0 disables, DESIGN.md §12)")
 		nodeID      = flag.String("node-id", "", "cluster node ID (empty = standalone)")
 		peers       = flag.String("peers", "", `cluster peers as "id=http://host:port,id=url,..." (requires -node-id)`)
 		replicas    = flag.Int("replicas", 0, "table replica count per route key, owner included (0 = default 2, capped at membership)")
@@ -57,8 +61,7 @@ func main() {
 	)
 	flag.Parse()
 	p := serverParams{
-		rate: *rate, deadline: *deadline, maxInflight: *maxInflight,
-		segTables: *segTables, coarseRung: *coarseRung,
+		rate: *rate, deadline: *deadline, maxInflight: *maxInflight, segTables: *segTables,
 		nodeID: *nodeID, replicas: *replicas, heartbeatMS: *heartbeatMS,
 	}
 	var err error
@@ -102,7 +105,6 @@ type serverParams struct {
 	deadline    time.Duration
 	maxInflight int
 	segTables   bool
-	coarseRung  int
 	nodeID      string
 	peers       map[string]string
 	replicas    int
@@ -122,7 +124,6 @@ func buildServer(p serverParams) (*cloud.Server, error) {
 		DefaultDeadlineSec: deadlineSec,
 		MaxInFlight:        p.maxInflight,
 		SegmentTables:      p.segTables,
-		CoarseLadderFactor: p.coarseRung,
 	}
 	if p.nodeID != "" {
 		cfg.Cluster = &cloud.ClusterConfig{

@@ -14,7 +14,7 @@ import (
 )
 
 func TestBuildServerServes(t *testing.T) {
-	srv, err := buildServer(serverParams{rate: 153, deadline: 30 * time.Second, segTables: true, coarseRung: 3})
+	srv, err := buildServer(serverParams{rate: 153, deadline: 30 * time.Second, segTables: true})
 	if err != nil {
 		t.Fatal(err)
 	}

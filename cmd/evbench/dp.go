@@ -49,10 +49,10 @@ type dpBenchMode struct {
 
 // dpBenchReport is the BENCH_dp.json payload.
 type dpBenchReport struct {
-	Figure           string       `json:"figure"` // the benchmarked problem
-	Iterations       int          `json:"iterations"`
-	KernelsAvailable bool         `json:"kernelsAvailable"`
-	DocumentedSeedMs float64      `json:"documentedSeedMs"`
+	Figure           string        `json:"figure"` // the benchmarked problem
+	Iterations       int           `json:"iterations"`
+	KernelsAvailable bool          `json:"kernelsAvailable"`
+	DocumentedSeedMs float64       `json:"documentedSeedMs"`
 	Modes            []dpBenchMode `json:"modes"`
 }
 

@@ -444,6 +444,9 @@ func TestAdviseValidation(t *testing.T) {
 		{"unknown route", `{"route":"nowhere","latestDepart":10}`, http.StatusNotFound},
 		{"bad variant", `{"route":"us25","latestDepart":10,"variant":"ludicrous"}`, http.StatusBadRequest},
 		{"negative rate", `{"route":"us25","latestDepart":10,"arrivalRateVehPerHour":-4}`, http.StatusBadRequest},
+		// Step counts past 2^63 must not overflow the candidate count.
+		{"huge window", `{"route":"us25","latestDepart":1e19,"stepSec":1}`, http.StatusBadRequest},
+		{"astronomical window", `{"route":"us25","latestDepart":1e300,"stepSec":1}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -453,6 +456,9 @@ func TestAdviseValidation(t *testing.T) {
 				t.Fatalf("status %d, want %d", resp.StatusCode, tc.status)
 			}
 		})
+	}
+	if st := statsOf(t, ts.URL); st.PanicsRecovered != 0 {
+		t.Fatalf("validation recovered %d panics, want 0", st.PanicsRecovered)
 	}
 }
 

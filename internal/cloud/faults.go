@@ -16,12 +16,11 @@ type Faults struct {
 	PredictorErr func() error
 
 	// OptimizeDelay, when non-nil, returns an artificial delay inserted
-	// before each optimizer run of the given variant. The sleep is
-	// context-aware, so a delay beyond the request's compute budget
-	// surfaces as context.DeadlineExceeded exactly like a genuinely slow
-	// solve. Returning 0 injects nothing for that variant — e.g. slow down
-	// only the queue-aware method to force the green-window fallback.
-	OptimizeDelay func(v Variant) time.Duration
+	// before each optimizer run (the exact solve and the coarse-grid rung
+	// alike). The sleep is context-aware, so a delay beyond the request's
+	// compute budget surfaces as context.DeadlineExceeded exactly like a
+	// genuinely slow solve. Returning 0 injects nothing for that run.
+	OptimizeDelay func() time.Duration
 
 	// Panic, when non-nil and returning true for a request path, panics
 	// inside the handler chain (within the recovery middleware's scope),

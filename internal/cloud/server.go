@@ -22,14 +22,13 @@
 // Retry-After instead of queueing unboundedly; handler panics become 500s
 // without killing the process; and when the paper's full method cannot be
 // computed in time the response degrades down a ladder — default arrival
-// rate when the predictor fails, a coarse-grid approximate solve when the
-// exact solve blows its budget (if CoarseLadderFactor is set), the
-// green-window variant below that, and finally a stale cache entry — each
-// annotated with degraded/degradedReason. The degraded answers are either
-// the paper's own method on a bracketed grid (DESIGN.md §12) or the
-// paper's baselines (Ozatay-style and green-signal DP): valid, just less
-// efficient, which is the right trade for a driver already rolling toward
-// the first intersection.
+// rate when the predictor fails, the requested variant re-solved on the
+// coarse grid when the exact solve blows half the deadline, and finally a
+// stale cache entry for the caller whose own deadline ran out — each
+// annotated with degraded/degradedReason. The coarse-grid answer is the
+// requested method on a bracketed grid, never cheaper than the exact plan
+// and within ε ≤ 1e-3 Ah of it on the default grid (DESIGN.md §12): the
+// right trade for a driver already rolling toward the first intersection.
 package cloud
 
 import (
@@ -82,12 +81,9 @@ const (
 	// response is the requested variant solved through the coarse-to-fine
 	// fast path (DESIGN.md §12) at the configured CoarseLadderFactor.
 	DegradedCoarseGrid = "coarse-grid"
-	// DegradedGreenFallback: the queue-aware solve exceeded its compute
-	// budget; the response is the green-window variant.
-	DegradedGreenFallback = "green-fallback"
-	// DegradedStaleCache: nothing could be computed in time; the response
-	// is a previously cached plan for the same route (possibly another
-	// departure bucket or variant).
+	// DegradedStaleCache: nothing could be computed within the caller's
+	// deadline; the response is a previously cached plan for the same
+	// route (possibly another departure bucket or variant).
 	DegradedStaleCache = "stale-cache"
 )
 
@@ -129,10 +125,9 @@ type Response struct {
 	Penalized bool          `json:"penalized"`
 	Cached    bool          `json:"cached"`
 	// Degraded is true when the service could not deliver the full
-	// queue-aware answer and fell down the degradation ladder;
-	// DegradedReason says which rung (see the Degraded* constants). A
-	// degraded plan is still drivable — it is one of the paper's baseline
-	// methods — just less efficient.
+	// answer and fell down the degradation ladder; DegradedReason says
+	// which rung (see the Degraded* constants). A degraded plan is still
+	// drivable, just possibly less efficient.
 	Degraded       bool   `json:"degraded,omitempty"`
 	DegradedReason string `json:"degradedReason,omitempty"`
 	// Refined is true when the plan came from the coarse-to-fine
@@ -226,18 +221,12 @@ type ServerConfig struct {
 	// MaxDeadlineSec caps the client's X-Deadline-Ms override (default
 	// DefaultDeadlineSec). Clients can only tighten the deadline.
 	MaxDeadlineSec float64
-	// DegradeBudgetFrac is the fraction of the request deadline granted to
-	// the full queue-aware method before the ladder degrades to the green
-	// variant; the remainder is the fallback's budget (default 0.5; must
-	// be in (0, 1]; 1 reserves nothing).
-	DegradeBudgetFrac float64
-	// CoarseLadderFactor, when ≥ 2, adds a rung to the degradation ladder
-	// between the exact solve and the green fallback: the requested variant
-	// re-solved through the coarse-to-fine fast path (dp.CoarseRefine) at
-	// this velocity-grid factor. The rung costs roughly 1/Factor² of the
-	// exact solve and stays within the documented ε of its cost, so it is
-	// tried before abandoning the queue-aware windows altogether. 0
-	// disables the rung; 1 and negatives are config errors.
+	// CoarseLadderFactor is the velocity-grid factor of the degradation
+	// ladder's coarse-grid rung: when the exact solve overruns half the
+	// deadline, the requested variant is re-solved through the
+	// coarse-to-fine fast path (dp.CoarseRefine) at this factor, for
+	// roughly 1/Factor² of the exact cost and within the documented ε of
+	// its plan cost (default 3; 1 and negatives are config errors).
 	CoarseLadderFactor int
 
 	// MaxInFlight bounds concurrently computing optimize/advise requests
@@ -275,14 +264,14 @@ type Server struct {
 	routes   map[string]*road.Route
 	cache    map[string]*Response
 	order    []string // FIFO eviction order
-	inflight map[string]*inflightCall
+	inflight map[string]*flight[*Response]
 
 	// segTables holds completed segment-table builds per route name;
 	// tableBuilds coalesces concurrent builds the way inflight coalesces
 	// solves. Tables key on the registered *road.Route identity, so a
 	// route's tables never go stale: routes are immutable once registered.
 	segTables   map[string]*dp.RouteTables
-	tableBuilds map[string]*tableCall
+	tableBuilds map[string]*flight[*dp.RouteTables]
 
 	sem    chan struct{} // admission slots; nil = admission disabled
 	queued atomic.Int64  // requests waiting for a slot
@@ -301,26 +290,57 @@ type Server struct {
 	latency                        *metrics.Histogram
 }
 
-// inflightCall coalesces concurrent optimize requests for one cache key:
-// the first arrival (the leader) runs the DP, later arrivals wait on done
-// and share the result. A leader that dies of its *own* context's
-// cancellation publishes that context error; followers with live contexts
-// do not inherit it — they loop back and elect a new leader (see
-// handleOptimize), so one impatient client cannot fail a coalesced herd.
-type inflightCall struct {
+// flight is one in-progress computation shared by the concurrent callers
+// of coalesce for one key; done closes once val and err are final.
+type flight[T any] struct {
 	done chan struct{}
-	resp *Response
+	val  T
 	err  error
 }
 
-// tableCall coalesces concurrent segment-table builds for one route, with
-// the same leader re-election discipline as inflightCall: a leader that
-// dies of its own context's cancellation does not poison followers whose
-// contexts are still live.
-type tableCall struct {
-	done chan struct{}
-	rt   *dp.RouteTables
-	err  error
+// coalesce returns the value for key, computing it at most once among
+// concurrent callers. Under mu it first looks key up in done, the
+// finished values; failing that, the first arrival (the leader) registers
+// a flight in flights and runs compute, and later arrivals wait on it and
+// share the outcome. compute publishes a value worth keeping into done
+// itself, under mu, before it returns: the flight is only removed after,
+// so no arrival finds neither. A leader that dies of its *own* context
+// error does not fail followers whose contexts are still live: they loop
+// back and elect a new leader (possibly themselves), so one impatient
+// client cannot fail a coalesced herd. Other errors are shared —
+// re-running would fail identically. shared reports that the value came
+// from done or from another caller's computation.
+func coalesce[T any](ctx context.Context, mu *sync.Mutex, done map[string]T, flights map[string]*flight[T],
+	key string, compute func() (T, error)) (val T, shared bool, err error) {
+	for {
+		mu.Lock()
+		if v, ok := done[key]; ok {
+			mu.Unlock()
+			return v, true, nil
+		}
+		if f, ok := flights[key]; ok {
+			mu.Unlock()
+			select {
+			case <-f.done:
+			case <-ctx.Done():
+				return val, false, fmt.Errorf("abandoned while coalesced: %w", ctx.Err())
+			}
+			if isCtxErr(f.err) && ctx.Err() == nil {
+				continue // the leader died of its own cancellation; re-elect
+			}
+			return f.val, true, f.err
+		}
+		f := &flight[T]{done: make(chan struct{})}
+		flights[key] = f
+		mu.Unlock()
+
+		f.val, f.err = compute()
+		mu.Lock()
+		delete(flights, key)
+		mu.Unlock()
+		close(f.done)
+		return f.val, false, f.err
+	}
 }
 
 // optimizeDP indirects dp.OptimizeCtx so tests can count, stub or stall
@@ -377,16 +397,13 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.MaxDeadlineSec == 0 {
 		cfg.MaxDeadlineSec = cfg.DefaultDeadlineSec
 	}
-	if cfg.DegradeBudgetFrac == 0 {
-		cfg.DegradeBudgetFrac = 0.5
+	if cfg.CoarseLadderFactor == 0 {
+		cfg.CoarseLadderFactor = 3
 	}
-	if cfg.DegradeBudgetFrac < 0 || cfg.DegradeBudgetFrac > 1 {
-		return nil, fmt.Errorf("cloud: degrade budget fraction %.2f must be in (0, 1]", cfg.DegradeBudgetFrac)
-	}
-	if cfg.CoarseLadderFactor != 0 && cfg.CoarseLadderFactor < 2 {
+	if cfg.CoarseLadderFactor < 2 {
 		// Factor 1 would re-run the exact solve as its own "fallback" and
 		// negatives are meaningless; both hide a misconfiguration.
-		return nil, fmt.Errorf("cloud: coarse ladder factor %d must be 0 (off) or ≥ 2", cfg.CoarseLadderFactor)
+		return nil, fmt.Errorf("cloud: coarse ladder factor %d must be ≥ 2", cfg.CoarseLadderFactor)
 	}
 	if cfg.SegmentTables && cfg.DPTemplate.CoarseRefine != (dp.CoarseRefine{}) {
 		return nil, fmt.Errorf("cloud: segment tables are exact-only; drop DPTemplate.CoarseRefine or SegmentTables")
@@ -416,9 +433,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg:         cfg,
 		routes:      map[string]*road.Route{"us25": road.US25()},
 		cache:       make(map[string]*Response),
-		inflight:    make(map[string]*inflightCall),
+		inflight:    make(map[string]*flight[*Response]),
 		segTables:   make(map[string]*dp.RouteTables),
-		tableBuilds: make(map[string]*tableCall),
+		tableBuilds: make(map[string]*flight[*dp.RouteTables]),
 		latency:     metrics.NewLatencyHistogram(),
 	}
 	if cfg.MaxInFlight > 0 {
@@ -774,69 +791,51 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 }
 
 // optimizeCached serves one optimize request through the full serving
-// stack: response cache, in-flight coalescing (with leader re-election),
-// then the degradation-laddered solve. Every compute path — single
-// optimize, advise sweeps and batch items — goes through here, so they all
-// warm and hit the same cache.
+// stack: response cache, in-flight coalescing, the computed rungs of the
+// degradation ladder (optimize), and last the stale-cache rung. Every
+// compute path — single optimize, advise sweeps and batch items — goes
+// through here, so they all warm and hit the same cache.
+//
+// The stale rung runs per caller, after coalescing: only a caller whose
+// own context ended gets a stale plan. A follower whose leader timed out
+// or hung up, but whose own context is live, re-elects a leader instead of
+// inheriting the leader's stale answer; a follower whose own deadline
+// expires while parked gets the stale plan rather than a 503.
 func (s *Server) optimizeCached(ctx context.Context, route *road.Route, req Request) (*Response, error) {
 	key := s.cacheKey(req)
-	for {
-		s.mu.Lock()
-		if resp, ok := s.cache[key]; ok {
-			s.cacheHits.Inc()
-			s.mu.Unlock()
-			cached := *resp
-			cached.Cached = true
-			return &cached, nil
-		}
-		if c, ok := s.inflight[key]; ok {
-			// A twin request is already computing this key; wait for it
-			// instead of running the DP again — but never past our own
-			// context.
-			s.mu.Unlock()
-			select {
-			case <-c.done:
-			case <-ctx.Done():
-				return nil, fmt.Errorf("request abandoned while coalesced: %w", ctx.Err())
-			}
-			if c.err != nil {
-				if isCtxErr(c.err) && ctx.Err() == nil {
-					// The leader died of its own cancellation, not ours:
-					// its deadline was tighter, or its client hung up.
-					// Our context is live, so loop back and elect a new
-					// leader (possibly us) rather than inherit the error.
-					continue
-				}
-				return nil, c.err
-			}
-			s.cacheHits.Inc()
-			cached := *c.resp
-			cached.Cached = true
-			return &cached, nil
-		}
-		c := &inflightCall{done: make(chan struct{})}
-		s.inflight[key] = c
-		s.mu.Unlock()
-
+	resp, shared, err := coalesce(ctx, &s.mu, s.cache, s.inflight, key, func() (*Response, error) {
 		resp, err := s.optimize(ctx, route, req)
-		c.resp, c.err = resp, err
-		s.mu.Lock()
-		delete(s.inflight, key)
 		// Degraded responses are not cached: the condition that forced the
 		// degradation is transient, and a cached degraded plan would keep
-		// serving the inferior baseline after the optimizer recovered.
+		// serving the inferior answer after the optimizer recovered.
 		if err == nil && !resp.Degraded {
+			s.mu.Lock()
 			if len(s.cache) >= s.cfg.MaxCacheEntries && len(s.order) > 0 {
 				delete(s.cache, s.order[0])
 				s.order = s.order[1:]
 			}
 			s.cache[key] = resp
 			s.order = append(s.order, key)
+			s.mu.Unlock()
 		}
-		s.mu.Unlock()
-		close(c.done)
+		return resp, err
+	})
+	if isCtxErr(err) {
+		if st := s.staleFor(req); st != nil {
+			out := *st
+			out.Cached = true
+			out.Degraded, out.DegradedReason = true, DegradedStaleCache
+			s.degraded.Inc(DegradedStaleCache)
+			return &out, nil
+		}
+	}
+	if err != nil || !shared {
 		return resp, err
 	}
+	s.cacheHits.Inc()
+	cached := *resp
+	cached.Cached = true
+	return &cached, nil
 }
 
 // optimizeError maps an optimize failure to a response: context errors are
@@ -864,96 +863,53 @@ func (s *Server) cacheKey(req Request) string {
 	return fmt.Sprintf("%s|%s|%g|%g", req.Route, req.Variant, bucket, req.ArrivalRateVehPerHour)
 }
 
-// optimize runs the degradation ladder for one request:
+// optimize runs the computed rungs of the degradation ladder for one
+// request:
 //
-//	rung 0  full method, with the predictor falling back to the default
-//	        arrival rate if it errors (degraded: predictor-default-rate)
-//	rung 1  the same variant through the coarse-to-fine fast path when the
-//	        exact solve exceeds its share of the deadline and
-//	        CoarseLadderFactor is configured (degraded: coarse-grid)
-//	rung 2  green-window variant when the queue-aware solve exceeds its
-//	        share of the deadline and the request context is still live
-//	        (degraded: green-fallback)
-//	rung 3  a stale cache entry for the same route (degraded: stale-cache)
+//	rung 0  the exact solve of the requested variant on half the deadline,
+//	        with the predictor falling back to the default arrival rate if
+//	        it errors (degraded: predictor-default-rate)
+//	rung 1  the same variant through the coarse-to-fine fast path on the
+//	        rest of the deadline, when the exact solve overran its half
+//	        (degraded: coarse-grid)
 //
-// The coarse rung keeps the paper's queue-aware windows — it only brackets
-// the velocity grid (DESIGN.md §12) — so it is tried first. It runs on the
-// whole remaining request context, so when it overruns the context is
-// done and rung 2 is skipped: with CoarseLadderFactor ≥ 2 (cloudd's
-// default) the green rung never runs, and a stalled solve ends at the
-// stale cache or a 503. Following
-// Ozatay et al. (PAPERS.md), the lower rungs are the baselines the paper
-// compares against: still-valid velocity profiles, just without the
-// queue-aware (or any) signal timing — strictly better than an error for a
-// vehicle that needs *a* profile now.
+// The coarse rung is the same DP on a bracketed velocity grid (DESIGN.md
+// §12): it keeps the variant's windows, is never cheaper than the exact
+// plan, and on the default grid stays within ε ≤ 1e-3 Ah of it — a
+// bounded-gap approximate DP of the same problem, the kind of real-time
+// approximation Deshpande et al. (arXiv 2010.03620, PAPERS.md) use for
+// eco-driving. The last rung, a stale cache entry, is per caller and
+// lives in optimizeCached.
 func (s *Server) optimize(ctx context.Context, route *road.Route, req Request) (*Response, error) {
-	primary, cancel := s.primaryBudget(ctx, req.Variant)
-	resp, err := s.runVariant(primary, route, req, req.Variant, false)
-	if cancel != nil {
-		cancel()
-	}
-	if err == nil {
-		if resp.Degraded {
-			s.degraded.Inc(resp.DegradedReason)
-		}
-		return resp, nil
-	}
-	if !isCtxErr(err) {
-		return nil, err // genuine optimizer error; the ladder is for slowness
-	}
-	if ctx.Err() == nil && s.cfg.CoarseLadderFactor >= 2 {
-		// The exact solve blew its budget but the request still has time:
-		// re-solve the same variant on the bracketed grid, ~Factor² cheaper.
-		c, cerr := s.runVariant(ctx, route, req, req.Variant, true)
-		if cerr == nil {
-			c.Degraded, c.DegradedReason = true, DegradedCoarseGrid
-			s.degraded.Inc(DegradedCoarseGrid)
-			return c, nil
-		}
-		if !isCtxErr(cerr) {
-			return nil, cerr
+	primary, cancel := primaryBudget(ctx)
+	resp, err := s.runVariant(primary, route, req, false)
+	cancel()
+	if isCtxErr(err) && ctx.Err() == nil {
+		// The exact solve blew its half but the request still has time:
+		// re-solve on the bracketed grid, ~Factor² cheaper.
+		resp, err = s.runVariant(ctx, route, req, true)
+		if err == nil {
+			resp.Degraded, resp.DegradedReason = true, DegradedCoarseGrid
 		}
 	}
-	if ctx.Err() == nil && req.Variant == VariantQueueAware {
-		// The full method blew its budget but the request still has time:
-		// compute the green-window baseline on the remaining budget.
-		g, gerr := s.runVariant(ctx, route, req, VariantGreen, false)
-		if gerr == nil {
-			g.Degraded, g.DegradedReason = true, DegradedGreenFallback
-			s.degraded.Inc(DegradedGreenFallback)
-			return g, nil
-		}
-		if !isCtxErr(gerr) {
-			return nil, gerr
-		}
+	if err != nil {
+		return nil, err
 	}
-	if st := s.staleFor(req); st != nil {
-		out := *st
-		out.Cached = true
-		out.Degraded, out.DegradedReason = true, DegradedStaleCache
-		s.degraded.Inc(DegradedStaleCache)
-		return &out, nil
+	if resp.Degraded {
+		s.degraded.Inc(resp.DegradedReason)
 	}
-	return nil, err
+	return resp, nil
 }
 
-// primaryBudget carves the full method's slice out of the request
-// deadline, reserving the remainder for the degradation ladder. Variants
-// below queue-aware have no cheaper fallback, so they get the whole
-// deadline.
-func (s *Server) primaryBudget(ctx context.Context, v Variant) (context.Context, context.CancelFunc) {
-	if v != VariantQueueAware {
-		return ctx, nil
-	}
+// primaryBudget carves the exact solve's half out of the request deadline,
+// reserving the rest for the coarse-grid rung. Without a deadline the
+// exact solve gets the whole context.
+func primaryBudget(ctx context.Context) (context.Context, context.CancelFunc) {
 	deadline, ok := ctx.Deadline()
 	if !ok {
-		return ctx, nil
+		return ctx, func() {}
 	}
-	budget := time.Duration(float64(time.Until(deadline)) * s.cfg.DegradeBudgetFrac)
-	if budget <= 0 {
-		return ctx, nil
-	}
-	return context.WithTimeout(ctx, budget)
+	return context.WithTimeout(ctx, time.Until(deadline)/2)
 }
 
 // staleFor returns the freshest cached plan usable as a last-resort answer
@@ -1005,14 +961,15 @@ func (s *Server) arrivalRate(req Request, degraded *bool) func(road.Control) flo
 	}
 }
 
-// runVariant executes one optimizer variant under ctx, applying the
-// fault-injection seam and the predictor fallback. With coarse set it runs
-// the coarse-grid ladder rung: the template's CoarseRefine is overridden
-// with CoarseLadderFactor and the solve bypasses the segment-table path —
-// the tables are exact-only (dp.BuildRouteTables rejects coarse configs).
-func (s *Server) runVariant(ctx context.Context, route *road.Route, req Request, variant Variant, coarse bool) (*Response, error) {
+// runVariant executes the request's optimizer variant under ctx, applying
+// the fault-injection seam and the predictor fallback. With coarse set it
+// runs the coarse-grid ladder rung: the template's CoarseRefine is
+// overridden with CoarseLadderFactor and the solve bypasses the
+// segment-table path — the tables are exact-only (dp.BuildRouteTables
+// rejects coarse configs).
+func (s *Server) runVariant(ctx context.Context, route *road.Route, req Request, coarse bool) (*Response, error) {
 	if f := s.cfg.Faults.OptimizeDelay; f != nil {
-		if !sleepCtx(f(variant), ctx.Done()) {
+		if !sleepCtx(f(), ctx.Done()) {
 			return nil, ctx.Err()
 		}
 	}
@@ -1029,7 +986,7 @@ func (s *Server) runVariant(ctx context.Context, route *road.Route, req Request,
 	horizon := req.DepartTime + cfg.MaxTripSec + 120
 
 	predictorDegraded := false
-	switch variant {
+	switch req.Variant {
 	case VariantGreen:
 		cfg.Windows = dp.GreenWindows(req.DepartTime, horizon)
 	case VariantQueueAware:
@@ -1105,48 +1062,22 @@ func (s *Server) solve(ctx context.Context, routeName string, cfg dp.Config) (*d
 
 // routeTables returns the segment tables for a named route, building them
 // under the first requester's context when absent. Concurrent builders
-// coalesce with the same re-election rule as optimize coalescing: a
-// leader cancelled by its own client does not fail followers whose
-// contexts are live — one of them rebuilds. Completed tables are kept for
-// the server's lifetime; they key on the registered route instance, which
-// is immutable, so there is nothing to invalidate.
+// share one build through coalesce, so a leader cancelled by its own
+// client does not fail followers whose contexts are live — one of them
+// rebuilds. Completed tables are kept for the server's lifetime; they key
+// on the registered route instance, which is immutable, so there is
+// nothing to invalidate.
 func (s *Server) routeTables(ctx context.Context, name string, cfg dp.Config) (*dp.RouteTables, error) {
-	for {
-		s.mu.Lock()
-		if rt, ok := s.segTables[name]; ok {
-			s.mu.Unlock()
-			return rt, nil
-		}
-		if c, ok := s.tableBuilds[name]; ok {
-			s.mu.Unlock()
-			select {
-			case <-c.done:
-			case <-ctx.Done():
-				return nil, fmt.Errorf("table build abandoned while coalesced: %w", ctx.Err())
-			}
-			if c.err != nil {
-				if isCtxErr(c.err) && ctx.Err() == nil {
-					continue // leader died of its own cancellation; re-elect
-				}
-				return nil, c.err
-			}
-			return c.rt, nil
-		}
-		c := &tableCall{done: make(chan struct{})}
-		s.tableBuilds[name] = c
-		s.mu.Unlock()
-
+	rt, _, err := coalesce(ctx, &s.mu, s.segTables, s.tableBuilds, name, func() (*dp.RouteTables, error) {
 		rt, err := s.acquireTables(ctx, name, cfg)
-		c.rt, c.err = rt, err
-		s.mu.Lock()
-		delete(s.tableBuilds, name)
 		if err == nil {
+			s.mu.Lock()
 			s.segTables[name] = rt
+			s.mu.Unlock()
 		}
-		s.mu.Unlock()
-		close(c.done)
 		return rt, err
-	}
+	})
+	return rt, err
 }
 
 func (s *Server) fail(w http.ResponseWriter, code int, msg string) {
@@ -1211,9 +1142,11 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	}
 	// Candidate count by index, not by float span: a window spanning exactly
 	// k steps holds k+1 candidates, and the limit bounds the candidates.
-	count := 0
+	// The step count stays a float until it is bounded: a window of 2^63
+	// steps or more would overflow int to a negative count.
+	steps := 0.0
 	if req.StepSec > 0 && req.LatestDepart >= req.EarliestDepart {
-		count = int(math.Floor((req.LatestDepart-req.EarliestDepart)/req.StepSec+1e-9)) + 1
+		steps = math.Floor((req.LatestDepart-req.EarliestDepart)/req.StepSec + 1e-9)
 	}
 	switch {
 	case req.StepSec <= 0:
@@ -1222,10 +1155,11 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	case req.EarliestDepart < 0 || req.LatestDepart < req.EarliestDepart:
 		s.fail(w, http.StatusBadRequest, "departure window invalid")
 		return
-	case count > maxAdviseCandidates:
+	case steps+1 > maxAdviseCandidates:
 		s.fail(w, http.StatusBadRequest, fmt.Sprintf("window spans more than %d candidates; widen stepSec", maxAdviseCandidates))
 		return
 	}
+	count := int(steps) + 1
 	// Every candidate shares route, variant and rate: validate them once,
 	// as the optimize endpoints do, on a template request.
 	tmpl := Request{
